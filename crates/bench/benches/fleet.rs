@@ -39,6 +39,12 @@
 //!   kill, so the escrow replay tail is empty). The committed gate
 //!   (`scripts/bench.sh --suite fleet`) holds this row under an
 //!   absolute ceiling — recovery must stay interactive.
+//! * `durability/seal` and `durability/open` — one checkpoint of a
+//!   12 s pen (the mean fleet-churn write) on this rig: `seal_checkpoint`
+//!   (one serialization + CRC) and `open_checkpoint` (parse + CRC
+//!   verify + tracker rebuild). The envelope's byte count is in the
+//!   notes. A seal runs per hosted session on every checkpoint drain,
+//!   so this is the stall a sealing shard puts on its live tail.
 //! * `fleet/lifecycle/sessions64/threads{1,8}` — full short lifecycle
 //!   at 1 vs 8 worker threads per shard for the core-count-aware
 //!   scaling gate (same contract as the serve drain matrix).
@@ -319,6 +325,38 @@ fn main() {
             "recover row: {sessions} x 128-report warm sessions on one shard, killed and \
              restored from an in-memory CheckpointStore (keep 3, boundary kills, empty \
              escrow tail); bitwise equivalence to never crashing is proven by tests/chaos.rs"
+        ));
+    }
+
+    // Checkpoint seal/open of one 12 s pen at 100 Hz.
+    {
+        use polardraw_core::{open_checkpoint, seal_checkpoint, OnlineTracker};
+        let cfg = rig();
+        let pen_s = 12.0;
+        let model = TrafficModel::generate(
+            TrafficConfig {
+                sessions: 1,
+                report_hz: 100.0,
+                write_min_s: pen_s,
+                ..TrafficConfig::default()
+            },
+            0x0F1EE7,
+        );
+        let plan = model.plans()[0];
+        let mut tracker = OnlineTracker::new(cfg, OnlineOptions::default());
+        for r in model.reports_for(&plan, plan.start_s, plan.start_s + pen_s) {
+            tracker.push(r);
+        }
+        let sealed = seal_checkpoint(&tracker, 1).expect("a simulated pen's state is finite");
+        bench.bench("durability/seal", || seal_checkpoint(&tracker, 1).map(|s| s.len()));
+        bench.bench("durability/open", || {
+            open_checkpoint(cfg, &sealed).map(|r| r.generation).expect("sealed envelope opens")
+        });
+        bench.note(format!(
+            "durability rows: one {pen_s} s pen at 100 Hz ({} windows), sealed envelope \
+             {} bytes",
+            tracker.windows_so_far().len(),
+            sealed.len()
         ));
     }
 

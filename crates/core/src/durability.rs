@@ -32,7 +32,10 @@
 //! policy and an escrow ledger so that crash recovery is loss-free;
 //! the chaos harness (`rfid_sim::chaos` + `tests/chaos.rs`) proves it.
 
+use std::fmt::Write as _;
+
 use rf_core::crc::crc32;
+pub use rf_core::json::NonFiniteNumber;
 use rf_core::json::{Json, JsonError};
 use rf_core::store::{BlobStore, MemBlobStore};
 
@@ -122,18 +125,31 @@ pub fn rig_crc(config: &PolarDrawConfig) -> u32 {
 /// caller's monotone counter ([`CheckpointStore::save`] manages it);
 /// it must stay below 2^53 to survive the JSON number round trip,
 /// which a per-session counter always does.
-pub fn seal_checkpoint(tracker: &OnlineTracker, generation: u64) -> String {
-    let mut doc = Json::obj([
+///
+/// Refuses with [`NonFiniteNumber`] when the state holds a NaN or
+/// infinite number (a NaN RSSI in an open window, say): JSON would
+/// carry it as `null`, sealing a generation that restore rejects.
+///
+/// One pass: the envelope is serialized once without `crc`, the CRC
+/// is taken over those bytes, and `"crc":N,` is spliced in after the
+/// opening brace. `crc` sorts before every other envelope key, so the
+/// result is exactly the canonical serialization of the full envelope.
+pub fn seal_checkpoint(
+    tracker: &OnlineTracker,
+    generation: u64,
+) -> Result<String, NonFiniteNumber> {
+    let body = Json::obj([
         ("format", Json::str(CHECKPOINT_FORMAT_V2)),
         ("generation", Json::num(generation as f64)),
         ("rig_crc", Json::num(rig_crc(tracker.config()) as f64)),
         ("payload", tracker.checkpoint()),
-    ]);
-    let crc = crc32(doc.to_json_string().as_bytes());
-    if let Json::Obj(map) = &mut doc {
-        map.insert("crc".to_string(), Json::num(crc as f64));
-    }
-    doc.to_json_string()
+    ])
+    .try_to_json_string()?;
+    let crc = crc32(body.as_bytes());
+    let mut sealed = String::with_capacity(body.len() + r#"{"crc":4294967295,"#.len());
+    let _ = write!(sealed, "{{\"crc\":{crc},");
+    sealed.push_str(&body[1..]);
+    Ok(sealed)
 }
 
 /// Open a checkpoint document of either format from untrusted text.
@@ -164,16 +180,13 @@ pub fn open_checkpoint_json(
     }
 
     // Integrity first: recompute the CRC over the canonical
-    // serialization of the envelope minus its `crc` field. The writer
-    // is canonical, so intact bytes always verify and any semantic
-    // mutation (bit flip, truncation repaired by luck, type
-    // confusion) is caught here.
+    // serialization of the envelope minus its `crc` field (written
+    // straight from the borrowed document, no clone). The writer is
+    // canonical, so intact bytes always verify — whitespace-only edits
+    // included — and any semantic mutation (bit flip, truncation
+    // repaired by luck, type confusion) is caught here.
     let recorded = req_u32(doc, "crc")?;
-    let mut stripped = doc.clone();
-    if let Json::Obj(map) = &mut stripped {
-        map.remove("crc");
-    }
-    let computed = crc32(stripped.to_json_string().as_bytes());
+    let computed = crc32(doc.to_json_string_without("crc").as_bytes());
     if recorded != computed {
         return Err(RestoreError::Checksum { recorded, computed });
     }
@@ -282,12 +295,19 @@ impl CheckpointStore {
 
     /// Seal and durably write the next generation for `session`,
     /// returning the generation number. Stage + commit in one call.
-    pub fn save(&mut self, session: u64, tracker: &OnlineTracker) -> u64 {
+    ///
+    /// A state [`seal_checkpoint`] refuses writes nothing: the store
+    /// keeps exactly the generations it had.
+    pub fn save(
+        &mut self,
+        session: u64,
+        tracker: &OnlineTracker,
+    ) -> Result<u64, NonFiniteNumber> {
         let generation = self.latest(session).map_or(1, |g| g + 1);
-        let text = seal_checkpoint(tracker, generation);
+        let text = seal_checkpoint(tracker, generation)?;
         self.stage(session, generation, text.as_bytes());
         self.commit(session, generation);
-        generation
+        Ok(generation)
     }
 
     /// First half of a write: park the sealed bytes at a staging key.
@@ -393,7 +413,7 @@ mod tests {
     #[test]
     fn seal_open_round_trips_and_v1_still_opens() {
         let tracker = fresh_tracker();
-        let sealed = seal_checkpoint(&tracker, 7);
+        let sealed = seal_checkpoint(&tracker, 7).expect("seal");
         let restored = open_checkpoint(coarse_config(), &sealed).expect("open v2");
         assert_eq!(restored.generation, 7);
         assert_eq!(restored.tracker.checkpoint_string(), tracker.checkpoint_string());
@@ -407,7 +427,7 @@ mod tests {
 
     #[test]
     fn wrong_rig_is_a_fingerprint_error_cheaply() {
-        let sealed = seal_checkpoint(&fresh_tracker(), 1);
+        let sealed = seal_checkpoint(&fresh_tracker(), 1).expect("seal");
         let mut other = coarse_config();
         other.hmm.cell_m *= 2.0;
         assert_eq!(
@@ -418,7 +438,7 @@ mod tests {
 
     #[test]
     fn any_semantic_mutation_fails_the_checksum() {
-        let sealed = seal_checkpoint(&fresh_tracker(), 3);
+        let sealed = seal_checkpoint(&fresh_tracker(), 3).expect("seal");
         // Flip the generation: a "valid JSON" corruption the payload
         // CRC of a naive scheme would miss — the whole-envelope CRC
         // catches it.
@@ -439,7 +459,7 @@ mod tests {
         let mut store = CheckpointStore::in_memory(3);
         let tracker = fresh_tracker();
         for expect in 1..=5u64 {
-            assert_eq!(store.save(42, &tracker), expect);
+            assert_eq!(store.save(42, &tracker), Ok(expect));
         }
         assert_eq!(store.generations(42), vec![3, 4, 5], "pruned to keep=3");
         assert_eq!(store.generations(7), Vec::<u64>::new(), "other sessions untouched");
@@ -465,9 +485,9 @@ mod tests {
     fn staged_but_uncommitted_writes_are_invisible() {
         let mut store = CheckpointStore::in_memory(2);
         let tracker = fresh_tracker();
-        store.save(1, &tracker);
+        store.save(1, &tracker).expect("seal");
         // A writer crashes after staging generation 2.
-        let sealed = seal_checkpoint(&tracker, 2);
+        let sealed = seal_checkpoint(&tracker, 2).expect("seal");
         store.stage(1, 2, sealed.as_bytes());
         assert_eq!(store.latest(1), Some(1), "staged bytes are not visible");
         let recovered = store.recover(1, coarse_config()).expect("recover");

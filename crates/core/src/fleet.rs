@@ -385,6 +385,10 @@ pub struct FleetStats {
     pub quarantined: usize,
     /// Durability checkpoints sealed over the router's lifetime.
     pub checkpoints: usize,
+    /// Checkpoints the store refused to seal because the session's
+    /// state held a non-finite number; each such session keeps its
+    /// previous generation and a longer escrow tail.
+    pub seal_refusals: usize,
 }
 
 /// The sharded fleet front door. See the module docs.
@@ -423,6 +427,7 @@ pub struct FleetRouter {
     restore_fallbacks: usize,
     quarantined: usize,
     checkpoints: usize,
+    seal_refusals: usize,
 }
 
 impl FleetRouter {
@@ -457,6 +462,7 @@ impl FleetRouter {
             restore_fallbacks: 0,
             quarantined: 0,
             checkpoints: 0,
+            seal_refusals: 0,
         }
     }
 
@@ -643,8 +649,9 @@ impl FleetRouter {
             if due {
                 let hosted: Vec<FleetSessionId> = self.shards[si].sessions.clone();
                 for id in hosted {
-                    self.checkpoint_session(id);
-                    report.checkpoints += 1;
+                    if self.checkpoint_session(id) {
+                        report.checkpoints += 1;
+                    }
                 }
             }
         }
@@ -656,13 +663,22 @@ impl FleetRouter {
     /// escrow marks: the new generation covers everything admitted
     /// except what is still queued un-drained, and reports older than
     /// the store's oldest retained generation are released.
-    fn checkpoint_session(&mut self, id: FleetSessionId) {
+    ///
+    /// A state the store refuses to seal (it holds a non-finite number)
+    /// is counted and leaves the marks as they were, so recovery
+    /// restores the previous generation and replays the longer tail.
+    /// Returns whether a generation was written.
+    fn checkpoint_session(&mut self, id: FleetSessionId) -> bool {
         let Some(store) = self.store.as_mut() else {
-            return;
+            return false;
         };
         let route = self.routes[id];
-        let generation =
-            store.save(id as u64, self.shards[route.shard].pool.tracker(route.local));
+        let Ok(generation) =
+            store.save(id as u64, self.shards[route.shard].pool.tracker(route.local))
+        else {
+            self.seal_refusals += 1;
+            return false;
+        };
         let oldest = store.oldest(id as u64).unwrap_or(generation);
         let queued = self.shards[route.shard].pool.pending(route.local);
         let escrow = &mut self.escrows[id];
@@ -675,6 +691,7 @@ impl FleetRouter {
             m.1 -= base;
         }
         self.checkpoints += 1;
+        true
     }
 
     /// Isolate a poisoned session: pull its intact queue out of the
@@ -976,6 +993,7 @@ impl FleetRouter {
             restore_fallbacks: self.restore_fallbacks,
             quarantined: self.quarantined,
             checkpoints: self.checkpoints,
+            seal_refusals: self.seal_refusals,
             ..FleetStats::default()
         };
         for r in &self.routes {

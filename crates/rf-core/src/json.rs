@@ -10,7 +10,18 @@
 //! `f64` formatting, so `parse(write(x)) == x` bit-for-bit for every
 //! finite `f64` including `-0.0` and extreme exponents. Non-finite
 //! numbers have no JSON representation and are written as `null`
-//! (matching `serde_json`'s lossy default).
+//! (matching `serde_json`'s lossy default) by
+//! [`Json::to_json_string`]; [`Json::try_to_json_string`] refuses them
+//! instead, for callers that must read back exactly what they wrote.
+//!
+//! Integer fast path: an integer-valued number below 2^53 in magnitude
+//! (other than `-0.0`) is written by a plain digit loop instead of the
+//! float formatter. It produces the same bytes `{}` would — the
+//! checkpoint documents are mostly integer indices, so this is where
+//! their serialization time goes — and a unit sweep pins the two
+//! against each other. The parser mirrors it: a number of at most 15
+//! integer digits is accumulated directly instead of going through
+//! `str::parse`, giving the same bits.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -127,42 +138,66 @@ impl Json {
         })
     }
 
-    /// Serialize to a compact JSON string.
+    /// Serialize to a compact JSON string. Non-finite numbers are
+    /// written as `null` (see the module docs).
     pub fn to_json_string(&self) -> String {
         let mut out = String::new();
         self.write_to(&mut out);
         out
     }
 
-    fn write_to(&self, out: &mut String) {
+    /// Serialize to a compact JSON string, refusing instead of writing
+    /// `null` when the value holds a NaN or infinite number — so the
+    /// result always parses back to exactly `self`.
+    pub fn try_to_json_string(&self) -> Result<String, NonFiniteNumber> {
+        let mut out = String::new();
+        if self.write_to(&mut out) {
+            Ok(out)
+        } else {
+            Err(NonFiniteNumber)
+        }
+    }
+
+    /// [`to_json_string`](Self::to_json_string) of an object with its
+    /// top-level `key` left out: the same bytes as removing the key from
+    /// a clone and serializing that, without the clone. Non-objects
+    /// serialize whole.
+    pub fn to_json_string_without(&self, key: &str) -> String {
+        let mut out = String::new();
+        match self {
+            Json::Obj(map) => {
+                write_object(map.iter().filter(|(k, _)| k.as_str() != key), &mut out);
+            }
+            v => {
+                v.write_to(&mut out);
+            }
+        }
+        out
+    }
+
+    /// Append the canonical serialization to `out`; `false` if a
+    /// non-finite number had to be written as `null`.
+    fn write_to(&self, out: &mut String) -> bool {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(x) => write_number(*x, out),
+            Json::Num(x) => return write_number(*x, out),
             Json::Str(s) => write_escaped(s, out),
             Json::Arr(items) => {
+                let mut exact = true;
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
                     if i > 0 {
                         out.push(',');
                     }
-                    item.write_to(out);
+                    exact &= item.write_to(out);
                 }
                 out.push(']');
+                return exact;
             }
-            Json::Obj(map) => {
-                out.push('{');
-                for (i, (k, v)) in map.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    write_escaped(k, out);
-                    out.push(':');
-                    v.write_to(out);
-                }
-                out.push('}');
-            }
+            Json::Obj(map) => return write_object(map.iter(), out),
         }
+        true
     }
 
     /// Parse a JSON document. The whole input must be one value (plus
@@ -185,10 +220,55 @@ impl std::fmt::Display for Json {
     }
 }
 
-fn write_number(x: f64, out: &mut String) {
+/// The refusal of [`Json::try_to_json_string`]: the value holds a NaN
+/// or infinite number, which JSON cannot represent.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct NonFiniteNumber;
+
+impl std::fmt::Display for NonFiniteNumber {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("value holds a NaN or infinite number, which JSON cannot represent")
+    }
+}
+
+impl std::error::Error for NonFiniteNumber {}
+
+fn write_object<'a>(
+    entries: impl Iterator<Item = (&'a String, &'a Json)>,
+    out: &mut String,
+) -> bool {
+    let mut exact = true;
+    out.push('{');
+    for (i, (k, v)) in entries.enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write_escaped(k, out);
+        out.push(':');
+        exact &= v.write_to(out);
+    }
+    out.push('}');
+    exact
+}
+
+/// 2^53: every integer of smaller magnitude is exactly an `f64`.
+const EXACT_INT_BOUND: f64 = 9_007_199_254_740_992.0;
+
+/// Append `x`; `false` (after writing `null`) if it is not finite.
+fn write_number(x: f64, out: &mut String) -> bool {
+    // Integer fast path. Checkpoints are mostly integer indices, and
+    // for an integer-valued `f64` below 2^53 `{}` prints exactly its
+    // decimal digits (no exponent, no `.0`), so formatting the integer
+    // gives the same bytes far faster. `-0.0` prints `-0` and takes the
+    // general path; NaN and ±∞ fail the round trip through `i64`.
+    let n = x as i64;
+    if n as f64 == x && x.abs() < EXACT_INT_BOUND && x.to_bits() != (-0.0f64).to_bits() {
+        write_int(n, out);
+        return true;
+    }
     if !x.is_finite() {
         out.push_str("null");
-        return;
+        return false;
     }
     // Rust's `{}` for f64 is the shortest string that parses back to the
     // same bits — ideal for fidelity. It writes `-0` for negative zero
@@ -196,6 +276,25 @@ fn write_number(x: f64, out: &mut String) {
     // JSON except for the exponent-free rendering of huge values, which
     // is also valid JSON (just long).
     let _ = write!(out, "{x}");
+    true
+}
+
+fn write_int(n: i64, out: &mut String) {
+    let mut digits = [0u8; 20];
+    let mut i = digits.len();
+    let mut m = n.unsigned_abs();
+    loop {
+        i -= 1;
+        digits[i] = b'0' + (m % 10) as u8;
+        m /= 10;
+        if m == 0 {
+            break;
+        }
+    }
+    if n < 0 {
+        out.push('-');
+    }
+    out.extend(digits[i..].iter().map(|&d| d as char));
 }
 
 fn write_escaped(s: &str, out: &mut String) {
@@ -427,11 +526,25 @@ impl<'a> Parser<'a> {
 
     fn number(&mut self) -> Result<Json, JsonError> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
+        let negative = self.peek() == Some(b'-');
+        if negative {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
+        let int_start = self.pos;
+        let mut int = 0u64;
+        while let Some(d @ b'0'..=b'9') = self.peek() {
+            int = int.wrapping_mul(10).wrapping_add((d - b'0') as u64);
             self.pos += 1;
+        }
+        // Integer fast path, the mirror of the writer's: up to 15
+        // digits is below 2^53, so the value is exact as an f64 and the
+        // same one `str::parse` would produce (`-0` included).
+        let int_digits = self.pos - int_start;
+        if (1..=15).contains(&int_digits)
+            && !matches!(self.peek(), Some(b'.') | Some(b'e') | Some(b'E'))
+        {
+            let x = int as f64;
+            return Ok(Json::Num(if negative { -x } else { x }));
         }
         if self.peek() == Some(b'.') {
             self.pos += 1;
@@ -573,6 +686,96 @@ mod tests {
         assert_eq!(Json::Num(f64::NAN).to_json_string(), "null");
         assert_eq!(Json::Num(f64::INFINITY).to_json_string(), "null");
         assert_eq!(Json::Num(f64::NEG_INFINITY).to_json_string(), "null");
+    }
+
+    #[test]
+    fn exact_writer_refuses_non_finite_numbers() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let nested = Json::obj([("a", Json::Arr(vec![Json::Num(1.0), Json::Num(bad)]))]);
+            assert_eq!(nested.try_to_json_string(), Err(NonFiniteNumber));
+        }
+        let fine = Json::obj([("a", Json::Arr(vec![Json::Num(1.5), Json::Null]))]);
+        assert_eq!(fine.try_to_json_string().as_deref(), Ok(r#"{"a":[1.5,null]}"#));
+    }
+
+    #[test]
+    fn write_number_matches_display_formatting() {
+        fn check(x: f64) {
+            let mut out = String::new();
+            assert!(write_number(x, &mut out));
+            assert_eq!(out, format!("{x}"), "bits {:#x}", x.to_bits());
+        }
+        // 0..10^6, sampled with a stride coprime to 10 so every digit
+        // count and trailing digit shows up.
+        for i in (0..1_000_000u32).step_by(7) {
+            check(i as f64);
+            check(-(i as f64));
+        }
+        // Both sides of the 2^53 fast-path boundary.
+        for k in 0..=64u64 {
+            for n in [(1u64 << 53) - k, (1u64 << 53) + k] {
+                check(n as f64);
+                check(-(n as f64));
+            }
+        }
+        // 10^15 to 10^16: the longest integers the fast path takes.
+        let mut x = 1e15;
+        while x <= 1e16 {
+            check(x);
+            check(x + 1.0);
+            x += 1.23e12;
+        }
+        for x in [
+            0.0,
+            -0.0,
+            0.5,
+            -0.5,
+            1e16,
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 3.0,
+            5e-324,
+            f64::MAX,
+            f64::MIN,
+        ] {
+            check(x);
+        }
+    }
+
+    #[test]
+    fn integer_parse_fast_path_matches_str_parse() {
+        let mut texts: Vec<String> = Vec::new();
+        for i in (0..1_000_000u64).step_by(7) {
+            texts.push(i.to_string());
+        }
+        for k in 0..=64u64 {
+            texts.push((999_999_999_999_999 - k).to_string()); // 15 digits: fast path
+            texts.push((1_000_000_000_000_000 + k).to_string()); // 16 digits: general path
+            texts.push(((1u64 << 53) + k).to_string());
+        }
+        texts.extend(["0", "00", "007", "0.5", "1e3", "12E-1", "9.0"].map(String::from));
+        for text in texts {
+            for t in [text.clone(), format!("-{text}")] {
+                let want: f64 = t.parse().expect("valid number text");
+                let got = Json::parse(&t).expect("parses").as_f64().expect("number");
+                assert_eq!(got.to_bits(), want.to_bits(), "{t}");
+            }
+        }
+    }
+
+    #[test]
+    fn without_key_matches_remove_then_write() {
+        let v = Json::obj([
+            ("crc", Json::Num(7.0)),
+            ("format", Json::str("x")),
+            ("payload", Json::Arr(vec![Json::Num(-0.0), Json::Num(f64::NAN)])),
+        ]);
+        let mut stripped = v.clone();
+        if let Json::Obj(map) = &mut stripped {
+            map.remove("crc");
+        }
+        assert_eq!(v.to_json_string_without("crc"), stripped.to_json_string());
+        assert_eq!(v.to_json_string_without("absent"), v.to_json_string());
+        assert_eq!(Json::Num(3.0).to_json_string_without("crc"), "3");
     }
 
     #[test]

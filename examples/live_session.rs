@@ -57,7 +57,7 @@ fn main() {
     let t_ckpt = 0.4 * t_hi;
     let t_kill = 0.65 * t_hi;
     sup.run(&mut tracker, 0.0, t_ckpt);
-    let gen1 = store.save(session_id, &tracker);
+    let gen1 = store.save(session_id, &tracker).expect("state is finite");
     println!(
         "first leg  [0.0, {t_ckpt:.1}] s: {} reports delivered, {} committed points; sealed generation {gen1}",
         sup.stats().reports_delivered,
@@ -68,7 +68,7 @@ fn main() {
     let link_mid = link.clone().resume_after(sup.link());
     let mut sup_mid = SessionSupervisor::new(session_cfg, link_mid);
     sup_mid.run(&mut tracker, t_ckpt, t_kill);
-    let gen2 = store.save(session_id, &tracker);
+    let gen2 = store.save(session_id, &tracker).expect("state is finite");
     println!(
         "           [{t_ckpt:.1}, {t_kill:.1}] s: {} more reports, {} committed points; sealed generation {gen2}",
         sup_mid.stats().reports_delivered,

@@ -139,12 +139,24 @@ echo "== verify: durability & crash recovery =="
 #   loss, recovery bitwise-identical to a fleet that never crashed,
 # - the envelope/store unit tests live in polardraw-core (durability),
 #   the chaos-plan/mutator unit tests in rfid-sim (chaos), and the
-#   parser recursion-depth bound in rf-core (json).
+#   parser recursion-depth bound in rf-core (json),
+# - the one-pass seal rests on three pins, run by name: the sealed
+#   envelope is a parse → write fixed point that re-seals byte for byte
+#   along a fleet stream (and a non-finite state is a typed refusal
+#   that keeps recovery bitwise), the writer's integer fast path prints
+#   exactly what `{}` prints, and the slicing-by-8 CRC equals the
+#   bytewise loop.
 cargo test -q --offline --release --test durability
 cargo test -q --offline --release --test chaos
 cargo test -q --offline --release -p polardraw-core durability
 cargo test -q --offline --release -p rfid-sim chaos
 cargo test -q --offline --release -p rf-core json
+cargo test -q --offline --release --test durability \
+    sealed_envelopes_are_canonical_fixed_points_along_a_fleet_stream
+cargo test -q --offline --release --test durability \
+    non_finite_state_is_refused_and_recovery_stays_bitwise
+cargo test -q --offline --release -p rf-core json::tests::write_number_matches_display_formatting
+cargo test -q --offline --release -p rf-core crc::tests::sliced_matches_bytewise
 
 echo "== verify: no unwrap/expect on untrusted-input paths =="
 # Grep lint over modules that parse bytes arriving from outside the

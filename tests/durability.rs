@@ -15,12 +15,24 @@
 //! * **Store crash semantics** — staged-but-uncommitted writes stay
 //!   invisible, walk-back recovery survives corrupted newest
 //!   generations, and a fully rotten store returns a typed error.
+//! * **Seal round trip** — at every round of a fleet stream the sealed
+//!   envelope is a fixed point of parse → write, and re-sealing the
+//!   tracker it opens to reproduces it byte for byte.
+//! * **Non-finite refusal** — a NaN in a session's state makes the seal
+//!   a typed refusal (never a `null` that restore rejects); the fleet
+//!   keeps the previous generation, counts the refusal, and crash
+//!   recovery stays bitwise.
 
+use experiments::setup::{polardraw_config_for, TrialSetup};
+use polardraw_core::durability::NonFiniteNumber;
+use polardraw_core::fleet::{CheckpointPolicy, FleetConfig, FleetRouter, FleetStats};
 use polardraw_core::{
     durability, open_checkpoint, seal_checkpoint, CheckpointStore, OnlineOptions, OnlineTracker,
-    PolarDrawConfig, RestoreError,
+    PolarDrawConfig, RestoreError, TrackOutput,
 };
+use rf_core::json::Json;
 use rfid_sim::chaos::mutate_bytes;
+use rfid_sim::traffic::{TrafficConfig, TrafficModel};
 use rfid_sim::TagReport;
 use std::path::PathBuf;
 
@@ -80,7 +92,7 @@ fn assert_matches_snapshot(name: &str, actual: &str) {
 fn restore_survives_2000_mutated_envelopes() {
     let tracker = warmed_tracker();
     let reference = tracker.checkpoint_string();
-    let sealed = seal_checkpoint(&tracker, 3);
+    let sealed = seal_checkpoint(&tracker, 3).expect("seal");
 
     let mut accepted = 0;
     let mut rejected = 0;
@@ -136,7 +148,7 @@ fn v1_documents_migrate_to_a_pinned_v2_envelope() {
     // … and re-seals into a v2 envelope whose exact bytes are pinned:
     // any unreviewed format drift (field rename, CRC definition change,
     // serialization change) fails here before it strands old stores.
-    let migrated = seal_checkpoint(&restored.tracker, 1);
+    let migrated = seal_checkpoint(&restored.tracker, 1).expect("seal");
     assert_matches_snapshot("checkpoint_v2_migration.json", &migrated);
 
     // The pinned envelope itself restores, to the same v1 payload.
@@ -158,7 +170,7 @@ fn store_walks_back_over_chaos_corruption() {
         for r in stream(60, round as f64 * 0.6) {
             tracker.push(r);
         }
-        let generation = store.save(9, &tracker);
+        let generation = store.save(9, &tracker).expect("seal");
         sealed_states.push((generation, tracker.checkpoint_string()));
     }
     assert_eq!(store.generations(9), vec![2, 3, 4], "keep=3 pruned generation 1");
@@ -190,10 +202,10 @@ fn store_walks_back_over_chaos_corruption() {
 fn a_torn_write_never_becomes_visible() {
     let mut store = CheckpointStore::in_memory(2);
     let tracker = warmed_tracker();
-    store.save(5, &tracker);
+    store.save(5, &tracker).expect("seal");
 
     // Writer crashes after staging generation 2 but before commit.
-    let next = seal_checkpoint(&tracker, 2);
+    let next = seal_checkpoint(&tracker, 2).expect("seal");
     store.stage(5, 2, next.as_bytes());
     assert_eq!(store.latest(5), Some(1), "staged bytes are invisible");
     assert_eq!(store.recover(5, coarse_config()).expect("recover").generation, 1);
@@ -201,4 +213,144 @@ fn a_torn_write_never_becomes_visible() {
     // The restarted writer completes the commit; only now it lands.
     assert!(store.commit(5, 2));
     assert_eq!(store.recover(5, coarse_config()).expect("recover").generation, 2);
+}
+
+const ROUND_S: f64 = 5.0;
+const ROUNDS: usize = 8;
+
+fn pen_rig() -> PolarDrawConfig {
+    polardraw_config_for(&TrialSetup::letter('L').with_cell_scale(8.0))
+}
+
+/// A small traffic crowd on one rig: real pens, so the sealed state
+/// carries decoded frames, a live frontier and open windows.
+fn crowd() -> TrafficModel {
+    TrafficModel::generate(
+        TrafficConfig {
+            sessions: 3,
+            horizon_s: ROUNDS as f64 * ROUND_S,
+            rigs: 1,
+            write_min_s: 10.0,
+            report_hz: 20.0,
+            ..TrafficConfig::default()
+        },
+        0xD0AB_1E5E,
+    )
+}
+
+/// Serve the crowd through a checkpoint-every-drain fleet. `poison`
+/// sets the RSSI of one session's report to NaN in the given round;
+/// `kill_at` crashes and recovers the shard right after that round's
+/// drain. `inspect` sees the fleet after every drain.
+fn serve_crowd(
+    poison: Option<usize>,
+    kill_at: Option<usize>,
+    mut inspect: impl FnMut(usize, &FleetRouter, &[usize]),
+) -> (Vec<(usize, TrackOutput)>, FleetStats) {
+    let model = crowd();
+    let cfg = pen_rig();
+    let mut fleet = FleetRouter::new(FleetConfig {
+        shards: 1,
+        queue_cap: usize::MAX / 2,
+        soft_session_cap: usize::MAX / 2,
+        checkpoint: CheckpointPolicy { every_drains: 1, ..CheckpointPolicy::default() },
+        ..FleetConfig::default()
+    });
+    fleet.attach_store(CheckpointStore::in_memory(3));
+    let ids: Vec<_> =
+        model.plans().iter().map(|_| fleet.add_session(cfg, OnlineOptions::default())).collect();
+    for round in 0..ROUNDS {
+        let t0 = round as f64 * ROUND_S;
+        for (plan, &id) in model.plans().iter().zip(&ids) {
+            let mut reports = model.reports_for(plan, t0, t0 + ROUND_S);
+            if poison == Some(round) && id == ids[0] {
+                if let Some(last) = reports.last_mut() {
+                    last.rssi_dbm = f64::NAN;
+                }
+            }
+            assert_eq!(fleet.offer(id, &reports), reports.len(), "queue is unbounded");
+        }
+        fleet.drain();
+        if kill_at == Some(round) {
+            fleet.kill_shard(0);
+            fleet.recover(0);
+        }
+        inspect(round, &fleet, &ids);
+    }
+    let stats = fleet.stats();
+    (fleet.finish(), stats)
+}
+
+fn assert_outputs_bitwise_equal(got: &[(usize, TrackOutput)], want: &[(usize, TrackOutput)]) {
+    assert_eq!(got.len(), want.len());
+    for ((gid, g), (wid, w)) in got.iter().zip(want) {
+        assert_eq!(gid, wid);
+        assert_eq!(g.trail.points.len(), w.trail.points.len(), "{gid}: trail length");
+        for (p, q) in g.trail.points.iter().zip(&w.trail.points) {
+            assert_eq!((p.x.to_bits(), p.y.to_bits()), (q.x.to_bits(), q.y.to_bits()), "{gid}");
+        }
+        for (x, y) in g.trail.times.iter().zip(&w.trail.times) {
+            assert_eq!(x.to_bits(), y.to_bits(), "{gid}: time bits");
+        }
+        assert_eq!(g.decode_stats, w.decode_stats, "{gid}: decode stats");
+    }
+}
+
+#[test]
+fn sealed_envelopes_are_canonical_fixed_points_along_a_fleet_stream() {
+    let cfg = pen_rig();
+    let mut checked = 0;
+    serve_crowd(None, None, |round, fleet, ids| {
+        for &id in ids {
+            let generation = round as u64 + 1;
+            let sealed = seal_checkpoint(fleet.tracker(id), generation).expect("finite state");
+            let reparsed = Json::parse(&sealed).expect("sealed envelope parses");
+            assert_eq!(reparsed.to_json_string(), sealed, "round {round} session {id}");
+            let opened = open_checkpoint(cfg, &sealed).expect("sealed envelope opens");
+            assert_eq!(opened.generation, generation);
+            assert_eq!(
+                seal_checkpoint(&opened.tracker, generation).expect("finite state"),
+                sealed,
+                "round {round} session {id}: re-seal drifted"
+            );
+            checked += 1;
+        }
+    });
+    assert_eq!(checked, ROUNDS * 3);
+}
+
+#[test]
+fn non_finite_state_is_refused_and_recovery_stays_bitwise() {
+    const POISON: usize = 3;
+    let cfg = pen_rig();
+    let mut probed = false;
+    let (calm, stats) = serve_crowd(Some(POISON), None, |round, fleet, ids| {
+        if round != POISON {
+            return;
+        }
+        let poisoned = fleet.tracker(ids[0]);
+        assert_eq!(seal_checkpoint(poisoned, 99), Err(NonFiniteNumber), "typed refusal");
+        // The refused drain wrote nothing: the newest generation is the
+        // one sealed before the NaN arrived, and it still recovers.
+        let store = fleet.store().expect("store attached");
+        let latest = store.latest(ids[0] as u64).expect("earlier generations");
+        assert_eq!(latest, POISON as u64, "round {POISON}'s seal was refused");
+        let recovered = store.recover(ids[0] as u64, cfg).expect("previous generation opens");
+        assert_eq!((recovered.generation, recovered.fallbacks), (latest, 0));
+        // Healthy neighbours kept sealing.
+        assert_eq!(store.latest(ids[1] as u64), Some(POISON as u64 + 1));
+        probed = true;
+    });
+    assert!(probed);
+    assert!(stats.seal_refusals >= 1, "refusals are counted: {stats:?}");
+    assert_eq!(stats.quarantined, 0);
+
+    // Kill after the poisoned round: recovery restores the last good
+    // generation and replays the longer escrow tail, NaN included.
+    for kill in [POISON, ROUNDS - 1] {
+        let (crashed, crashed_stats) = serve_crowd(Some(POISON), Some(kill), |_, _, _| {});
+        assert_eq!(crashed_stats.recoveries, 3, "kill@{kill}");
+        assert_eq!(crashed_stats.quarantined, 0, "kill@{kill}");
+        assert_outputs_bitwise_equal(&crashed, &calm);
+    }
 }
