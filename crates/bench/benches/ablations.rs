@@ -43,9 +43,9 @@ fn main() {
         });
     }
 
-    // Beam width is exercised through `viterbi_beam` in the components
-    // bench; assert here (cheaply, once) that the default stays within
-    // the range the accuracy sweeps were tuned for.
+    // Beam width is exercised through `FixedLagDecoder::decode` in the
+    // decode bench; assert here (cheaply, once) that the default stays
+    // within the range the accuracy sweeps were tuned for.
     assert!((500..=10_000).contains(&DEFAULT_BEAM_WIDTH));
 
     bench.finish();

@@ -26,12 +26,14 @@
 //!   8-session contention no session falls behind its reader.
 //! * `serve/coldstart/emission_*` — the shared-artifact build a
 //!   fleet's FIRST session pays (everyone after gets the cached
-//!   `Arc`): the ~33k-cell paper-fidelity emission table, sequential
-//!   vs `EmissionTable::build_parallel` at 2 and 8 threads.
+//!   `Arc`): the paper-fidelity emission table, sequential vs
+//!   `EmissionTable::build` at 2 and 8 requested threads, each request
+//!   clamped through `build_threads_for` to what the host has (the
+//!   clamp the shared-artifact build applies).
 
 use experiments::setup::{polardraw_config_for, simulate_reports, TrialSetup};
 use polardraw_bench::harness::Bench;
-use polardraw_core::hmm::{EmissionTable, Grid};
+use polardraw_core::hmm::{build_threads_for, EmissionTable, Grid};
 use polardraw_core::serve::ServePool;
 use polardraw_core::{OnlineOptions, PolarDrawConfig};
 use rf_core::rng::derive_seed_indexed;
@@ -136,11 +138,13 @@ fn main() {
     // pays; every later session on the rig shares the cached Arc.
     let grid = Grid::covering(cfg.board_min, cfg.board_max, cfg.hmm.cell_m);
     bench.bench("serve/coldstart/emission_seq", || {
-        EmissionTable::build(&grid, cfg.antennas, cfg.hmm.wavelength_m)
+        EmissionTable::build(&grid, cfg.antennas, cfg.hmm.wavelength_m, 1)
     });
+    let available = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     for threads in [2usize, 8] {
+        let workers = build_threads_for(threads, available, grid.len());
         bench.bench(&format!("serve/coldstart/emission_par{threads}"), || {
-            EmissionTable::build_parallel(&grid, cfg.antennas, cfg.hmm.wavelength_m, threads)
+            EmissionTable::build(&grid, cfg.antennas, cfg.hmm.wavelength_m, workers)
         });
     }
 

@@ -35,13 +35,18 @@
 //!   of `(dx, dy, ideal distance)` offsets; boundary clipping is pure
 //!   index arithmetic.
 //! * Backpointers live in flat `Vec<u32>` frames instead of a per-step
-//!   `HashMap`, beam truncation uses `select_nth_unstable_by` instead of
-//!   a full sort, and every buffer lives in a reusable
-//!   [`DecoderScratch`] (one per thread by default) so steady-state
-//!   decodes allocate nothing but the returned track.
+//!   `HashMap`, and beam truncation uses `select_nth_unstable_by`
+//!   instead of a full sort.
 //!
-//! The optimized decoder is kept *exactly* output-equivalent to the
-//! retained naive implementation, [`viterbi_reference`]: both perform
+//! There is one decoder driver, [`FixedLagDecoder`]: every online
+//! session, serve-pool session and fleet shard steps it, and
+//! [`FixedLagDecoder::decode`] runs it with infinite lag over a whole
+//! observation sequence for tests, benches and ablations. It owns its
+//! buffers and recycles committed frames, so a live session's steady
+//! state allocates nothing.
+//!
+//! The decoder is kept *exactly* output-equivalent to the retained
+//! naive implementation, [`viterbi_reference`] (the oracle): both perform
 //! identical floating-point operations per candidate in identical order
 //! and share one canonical beam total order (score descending, cell
 //! index ascending), so `tests/decoder_equivalence.rs` can assert
@@ -65,7 +70,6 @@
 
 use crate::distance::{expected_dtheta21, DthetaRowKernel, DthetaRowKernelF32, FeasibleRegion};
 use rf_core::{wrap_pi, Vec2, Vec3};
-use std::cell::RefCell;
 use std::cmp::Ordering;
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -137,8 +141,8 @@ impl Grid {
     /// extra ring that could never pass the distance check), in the same
     /// row-major order, with the same `≤ radius + 1e-12` membership
     /// rule — so results are identical, minus the redundant ring. The
-    /// decoder hot path uses cached stencils via [`DecoderScratch`]
-    /// instead of this allocating convenience method.
+    /// decoder hot path uses cached shared stencils instead of this
+    /// allocating convenience method.
     pub fn neighbourhood(&self, from: usize, radius: f64) -> Vec<usize> {
         let stencil = AnnulusStencil::new(self.cell_m, self.radius_cells(radius));
         let c = self.center(from);
@@ -208,7 +212,11 @@ pub struct HmmConfig {
     pub distance_weight_still: f64,
 }
 
-/// Beam width for the sparse Viterbi frontier (see [`viterbi`]).
+/// Beam width for the sparse Viterbi frontier: exact Viterbi over the
+/// full grid would cost `steps × cells × annulus`, but the posterior is
+/// sharply unimodal (the pen is one object), so the decoder keeps only
+/// the best cells per step — the pruned regime the paper's linear-time
+/// claim (§3.5) corresponds to.
 pub const DEFAULT_BEAM_WIDTH: usize = 2500;
 
 impl Default for HmmConfig {
@@ -307,101 +315,29 @@ pub struct EmissionTable {
 }
 
 impl EmissionTable {
-    /// Precompute the expected Δθ²¹ for every cell of `grid`.
+    /// Precompute the expected Δθ²¹ for every cell of `grid` on exactly
+    /// `workers` scoped threads (1 = the calling thread; no host or
+    /// table-size clamp — callers that want one pass their count through
+    /// [`build_threads_for`] first, as [`DecodeArtifacts::emission`]
+    /// does).
     ///
     /// Runs row-batched over the SoA distance kernels
     /// ([`DthetaRowKernel`]): the cell-centre x coordinates are
     /// materialized once, each row hoists its `Δy²`/`Δz²` terms, and
     /// the per-cell `idx → (ix, iy)` divmod of [`Grid::center`]
     /// disappears entirely. Every cell's value is still **bit-identical**
-    /// to `expected_dtheta21(grid.center(idx), …)` — the row kernel's
-    /// contract, pinned by `emission_table_matches_direct_computation`
-    /// below and `tests/channel_batch.rs`.
-    pub fn build(grid: &Grid, antennas: [Vec3; 2], wavelength_m: f64) -> EmissionTable {
-        let mut values = vec![0.0; grid.len()];
-        if grid.nx > 0 {
-            let xs = grid_xs(grid);
-            let mut kernel = DthetaRowKernel::new();
-            for (iy, row) in values.chunks_mut(grid.nx).enumerate() {
-                let y = grid.min.y + (iy as f64 + 0.5) * grid.cell_m;
-                kernel.row(&xs, y, antennas, wavelength_m, row);
-            }
-        }
-        EmissionTable { grid: *grid, antennas, wavelength_m, values }
-    }
-
-    /// [`build`](Self::build) with the per-cell trig fanned out across
-    /// grid rows on up to `threads` scoped workers
-    /// ([`rf_core::parallel_map`]). Every cell's value is computed by
-    /// the same call on the same inputs and rows are merged back in
-    /// row-major order, so the result is **bit-for-bit identical** to
-    /// the sequential build at any thread count — only the first
-    /// session's cold-start wall time changes.
-    ///
-    /// The requested worker count is a *ceiling*, not a contract: it is
-    /// clamped through [`build_threads_for`], so on a low-core host (or
-    /// for a table too small to amortize thread spawns) the build falls
-    /// back to the plain sequential loop instead of paying scope-spawn
-    /// overhead for no parallelism — the cold-start regression
-    /// BENCH_throughput.json used to carry (0.62× @8 threads on 1
-    /// core). Benches that want to measure the fan-out itself use
-    /// [`build_with_workers`](Self::build_with_workers).
-    pub fn build_parallel(
-        grid: &Grid,
-        antennas: [Vec3; 2],
-        wavelength_m: f64,
-        threads: usize,
-    ) -> EmissionTable {
-        let available =
-            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        let workers = build_threads_for(threads, available, grid.len());
-        EmissionTable::build_with_workers(grid, antennas, wavelength_m, workers)
-    }
-
-    /// The row-parallel build with an *exact* worker count — no
-    /// host-parallelism or table-size fallback. This is the primitive
-    /// [`build_parallel`](Self::build_parallel) dispatches to after its
-    /// [`build_threads_for`] clamp; tests use it to pin bit-identity at
-    /// forced worker counts and benches to measure the true fan-out
-    /// cost on any host.
-    pub fn build_with_workers(
+    /// to `expected_dtheta21(grid.center(idx), …)` at any worker count —
+    /// the row kernel's contract, pinned by
+    /// `emission_table_matches_direct_computation` below and
+    /// `tests/channel_batch.rs`.
+    pub fn build(
         grid: &Grid,
         antennas: [Vec3; 2],
         wavelength_m: f64,
         workers: usize,
     ) -> EmissionTable {
-        if workers.max(1) == 1 || grid.ny < 2 || grid.nx == 0 {
-            return EmissionTable::build(grid, antennas, wavelength_m);
-        }
-        // Contiguous row bands written through disjoint `&mut` slices of
-        // one preallocated buffer — no per-row `Vec` churn, no merge
-        // copy (the 1.15×-at-2-threads ceiling the old
-        // `parallel_map`-of-rows fan-out carried). Each cell's value
-        // never depends on its band, so the result stays bit-identical
-        // to the sequential build at any worker count.
-        let nx = grid.nx;
-        let workers = workers.min(grid.ny);
-        let xs = grid_xs(grid);
-        let mut values = vec![0.0; grid.len()];
-        let mut bands: Vec<(usize, &mut [f64])> = Vec::with_capacity(workers);
-        let mut rest: &mut [f64] = values.as_mut_slice();
-        for w in 0..workers {
-            let (lo, hi) = rf_core::chunk_bounds(grid.ny, workers, w);
-            let (band, tail) = rest.split_at_mut((hi - lo) * nx);
-            rest = tail;
-            bands.push((lo, band));
-        }
-        std::thread::scope(|scope| {
-            for (lo, band) in bands {
-                let xs = &xs;
-                scope.spawn(move || {
-                    let mut kernel = DthetaRowKernel::new();
-                    for (r, row) in band.chunks_mut(nx).enumerate() {
-                        let y = grid.min.y + ((lo + r) as f64 + 0.5) * grid.cell_m;
-                        kernel.row(xs, y, antennas, wavelength_m, row);
-                    }
-                });
-            }
+        let values = build_rows(grid, workers, DthetaRowKernel::new, |kernel, xs, y, row| {
+            kernel.row(xs, y, antennas, wavelength_m, row)
         });
         EmissionTable { grid: *grid, antennas, wavelength_m, values }
     }
@@ -459,40 +395,8 @@ impl EmissionTableF32 {
         wavelength_m: f64,
         workers: usize,
     ) -> EmissionTableF32 {
-        let mut values = vec![0.0f32; grid.len()];
-        if grid.nx == 0 {
-            return EmissionTableF32 { values };
-        }
-        let nx = grid.nx;
-        let xs = grid_xs(grid);
-        let workers = workers.max(1).min(grid.ny.max(1));
-        if workers == 1 || grid.ny < 2 {
-            let mut kernel = DthetaRowKernelF32::new();
-            for (iy, row) in values.chunks_mut(nx).enumerate() {
-                let y = grid.min.y + (iy as f64 + 0.5) * grid.cell_m;
-                kernel.row(&xs, y, antennas, wavelength_m, row);
-            }
-            return EmissionTableF32 { values };
-        }
-        let mut bands: Vec<(usize, &mut [f32])> = Vec::with_capacity(workers);
-        let mut rest: &mut [f32] = values.as_mut_slice();
-        for w in 0..workers {
-            let (lo, hi) = rf_core::chunk_bounds(grid.ny, workers, w);
-            let (band, tail) = rest.split_at_mut((hi - lo) * nx);
-            rest = tail;
-            bands.push((lo, band));
-        }
-        std::thread::scope(|scope| {
-            for (lo, band) in bands {
-                let xs = &xs;
-                scope.spawn(move || {
-                    let mut kernel = DthetaRowKernelF32::new();
-                    for (r, row) in band.chunks_mut(nx).enumerate() {
-                        let y = grid.min.y + ((lo + r) as f64 + 0.5) * grid.cell_m;
-                        kernel.row(xs, y, antennas, wavelength_m, row);
-                    }
-                });
-            }
+        let values = build_rows(grid, workers, DthetaRowKernelF32::new, |kernel, xs, y, row| {
+            kernel.row(xs, y, antennas, wavelength_m, row)
         });
         EmissionTableF32 { values }
     }
@@ -548,7 +452,7 @@ impl DecodeArtifacts {
     /// race benignly: `OnceLock` keeps exactly one winner's table.
     pub fn emission(&self) -> &Arc<EmissionTable> {
         self.emission.get_or_init(|| {
-            Arc::new(EmissionTable::build_parallel(
+            Arc::new(EmissionTable::build(
                 &self.grid,
                 self.antennas,
                 self.wavelength_m,
@@ -602,11 +506,53 @@ impl DecodeArtifacts {
     }
 }
 
-/// The cell-centre x coordinates of every column, exactly as
-/// [`Grid::center`] computes them — the shared SoA input of the
-/// row-batched emission builds.
-fn grid_xs(grid: &Grid) -> Vec<f64> {
-    (0..grid.nx).map(|ix| grid.min.x + (ix as f64 + 0.5) * grid.cell_m).collect()
+/// The row-band splitter behind both emission builds: fill a row-major
+/// per-cell table of `grid`, one row at a time, with contiguous row
+/// bands on `workers` scoped threads (1 = the calling thread). The
+/// cell-centre x coordinates are materialized once, exactly as
+/// [`Grid::center`] computes them, and each band runs its own kernel
+/// from `new_kernel`. Bands are disjoint `&mut` slices of one buffer —
+/// no per-row `Vec`, no merge copy — and a cell's value never depends
+/// on its band, so every worker count gives the same bits.
+fn build_rows<T, K>(
+    grid: &Grid,
+    workers: usize,
+    new_kernel: impl Fn() -> K + Sync,
+    row: impl Fn(&mut K, &[f64], f64, &mut [T]) + Sync,
+) -> Vec<T>
+where
+    T: Copy + Default + Send,
+{
+    let mut values = vec![T::default(); grid.len()];
+    let nx = grid.nx;
+    if nx == 0 {
+        return values;
+    }
+    let xs: Vec<f64> =
+        (0..nx).map(|ix| grid.min.x + (ix as f64 + 0.5) * grid.cell_m).collect();
+    let fill = |lo: usize, band: &mut [T]| {
+        let mut kernel = new_kernel();
+        for (r, out) in band.chunks_mut(nx).enumerate() {
+            let y = grid.min.y + ((lo + r) as f64 + 0.5) * grid.cell_m;
+            row(&mut kernel, &xs, y, out);
+        }
+    };
+    let workers = workers.min(grid.ny).max(1);
+    if workers == 1 {
+        fill(0, &mut values);
+        return values;
+    }
+    std::thread::scope(|scope| {
+        let mut rest = values.as_mut_slice();
+        for w in 0..workers {
+            let (lo, hi) = rf_core::chunk_bounds(grid.ny, workers, w);
+            let (band, tail) = rest.split_at_mut((hi - lo) * nx);
+            rest = tail;
+            let fill = &fill;
+            scope.spawn(move || fill(lo, band));
+        }
+    });
+    values
 }
 
 /// Cells below which the row-parallel emission build cannot amortize
@@ -622,7 +568,7 @@ pub const PARALLEL_BUILD_MIN_CELLS: usize = 32_768;
 /// fanning out past the hardware only adds spawn overhead, which is the
 /// cold-start regression BENCH_throughput.json recorded before this
 /// clamp (parallel build 0.62× sequential at 8 requested threads on a
-/// 1-core host). Unit-tested directly; [`EmissionTable::build_parallel`]
+/// 1-core host). Unit-tested directly; [`DecodeArtifacts::emission`]
 /// feeds it the live `available_parallelism`.
 pub fn build_threads_for(requested: usize, available: usize, cells: usize) -> usize {
     if cells < PARALLEL_BUILD_MIN_CELLS {
@@ -651,8 +597,8 @@ fn artifact_cache() -> &'static Mutex<Vec<Arc<DecodeArtifacts>>> {
 }
 
 /// The process-wide [`DecodeArtifacts`] entry for a rig, creating it on
-/// first sight. Every decoder (batch scratch, [`FixedLagDecoder`],
-/// every serve-pool session) resolves its rig through here, so all of
+/// first sight. Every decoder ([`FixedLagDecoder`], so every online
+/// tracker and serve-pool session) resolves its rig through here, so all of
 /// them end up holding the *same* `Arc` — `Arc::strong_count` on the
 /// returned entry counts the sessions sharing it (plus the cache's own
 /// reference), which is what `tests/serve.rs` asserts for the
@@ -688,8 +634,8 @@ fn stencil_store() -> &'static Mutex<Vec<Arc<AnnulusStencil>>> {
 
 /// The process-wide shared stencil for `(cell_m, r_cells)`, building it
 /// on first sight. Stencils are pure functions of their key, so every
-/// scratch and every session on every thread shares one copy per radius
-/// key instead of rebuilding (and separately storing) it per scratch.
+/// decoder on every thread shares one copy per radius key instead of
+/// rebuilding (and separately storing) it per decoder.
 pub fn shared_stencil(cell_m: f64, r_cells: i32) -> Arc<AnnulusStencil> {
     let r_cells = r_cells.max(0);
     let mut store = stencil_store().lock().expect("stencil store poisoned");
@@ -707,8 +653,11 @@ pub fn shared_stencil(cell_m: f64, r_cells: i32) -> Arc<AnnulusStencil> {
     s
 }
 
-/// Work counters from one decode, returned by [`viterbi_with_stats`]:
-/// how much the decoder actually did, not just how long it took.
+/// Work counters of a [`FixedLagDecoder`] (its [`stats`](FixedLagDecoder::stats),
+/// also returned by [`FixedLagDecoder::decode`]): how much the decoder
+/// actually did, not just how long it took. Deterministic for a given
+/// input and kernel, so `tests/kernel_equivalence.rs` pins them exactly
+/// on the headline stream.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct DecodeStats {
     /// Observations decoded.
@@ -745,12 +694,14 @@ impl DecodeStats {
     }
 }
 
-/// Cap on the process-wide shared stencil store (and on each scratch's
+/// Cap on the process-wide shared stencil store (and on each decoder's
 /// local memo of `Arc`s into it); decodes see a handful of distinct
 /// radii, so this is only a guard against pathological inputs.
 const STENCIL_CACHE_CAP: usize = 64;
 
-/// Numeric precision of the beam kernel's inner loop.
+/// Numeric precision of the beam kernel's inner loop. Both tiers run
+/// inside the one driver, [`FixedLagDecoder`]; only the expansion and
+/// the emission lookup differ.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelPrecision {
     /// The bit-exact kernel: per-candidate `f64` scoring identical to
@@ -766,6 +717,12 @@ pub enum KernelPrecision {
     /// tolerance oracle instead.
     F32Tolerance,
 }
+
+/// Ceiling on intra-step expansion workers. Each worker sizes its own
+/// per-cell score and predecessor maps (12 B per cell: ~1.7 MB at paper
+/// fidelity), and a frontier of at most one beam gains nothing from
+/// more; restore rejects a checkpoint that asks for more.
+pub(crate) const MAX_KERNEL_THREADS: usize = 16;
 
 /// Frontier-adaptive beam: shrink the kept beam below the configured
 /// width on steps where the score mass concentrates.
@@ -806,7 +763,9 @@ pub struct KernelOptions {
     /// (1 = sequential). Any value produces bit-identical output for a
     /// given precision: chunks are contiguous frontier ranges
     /// ([`rf_core::chunk_bounds`]) merged in chunk order under the same
-    /// first-wins tie rule the sequential scan applies.
+    /// first-wins tie rule the sequential scan applies. The decoder
+    /// never runs more than a fixed ceiling of workers (16), since each
+    /// one sizes its own per-cell maps.
     pub threads: usize,
 }
 
@@ -832,9 +791,10 @@ impl KernelOptions {
         }
     }
 
-    /// This kernel with `threads` intra-step workers.
+    /// This kernel with `threads` intra-step workers, clamped to
+    /// `1..=16`.
     pub fn with_threads(mut self, threads: usize) -> KernelOptions {
-        self.threads = threads.max(1);
+        self.threads = threads.clamp(1, MAX_KERNEL_THREADS);
         self
     }
 
@@ -891,10 +851,9 @@ struct ChunkScratch {
     pruned_below_min: u64,
 }
 
-/// Buffers of one beam step, shared by the batch scratch and the
-/// streaming decoder (each owns one). Split out so `advance_frontier`
-/// can borrow the whole kit in one piece alongside its owner's frontier
-/// and backpointer buffers.
+/// Buffers of one beam step, owned by each [`FixedLagDecoder`]. Split
+/// out so `advance_frontier` can borrow the whole kit in one piece
+/// alongside the decoder's frontier and frame buffers.
 #[derive(Debug, Default)]
 struct KernelScratch {
     /// Dense per-cell best score this step (`F64Exact`), reset via
@@ -923,52 +882,10 @@ struct KernelScratch {
     stencils: Vec<Arc<AnnulusStencil>>,
 }
 
-/// Reusable decode buffers and caches. [`viterbi_beam`] keeps one per
-/// thread automatically; long-running callers (benches, servers) can
-/// hold their own via [`viterbi_with_scratch`] so steady-state decodes
-/// allocate nothing but the returned track. Also carries the scratch's
-/// sticky [`KernelOptions`] selection (see [`set_kernel`](Self::set_kernel)).
-#[derive(Debug, Default)]
-pub struct DecoderScratch {
-    /// Kernel configuration decodes through this scratch use.
-    kernel: KernelOptions,
-    /// Step-kernel buffers (dense maps, stencil trims, chunk slots).
-    ks: KernelScratch,
-    /// Current frontier, canonically ordered: cells …
-    frontier_cells: Vec<u32>,
-    /// … and their path scores, index-parallel (SoA).
-    frontier_scores: Vec<f64>,
-    /// Flat backpointer frames: cells …
-    bp_cells: Vec<u32>,
-    /// … their best predecessors …
-    bp_prevs: Vec<u32>,
-    /// … and each step's exclusive end offset into the two above.
-    frame_ends: Vec<u32>,
-    /// Shared artifacts of the rig this scratch last decoded.
-    artifacts: Option<Arc<DecodeArtifacts>>,
-}
-
-impl DecoderScratch {
-    /// Fresh, empty scratch (bit-exact default kernel).
-    pub fn new() -> DecoderScratch {
-        DecoderScratch::default()
-    }
-
-    /// The kernel decodes through this scratch use.
-    pub fn kernel(&self) -> KernelOptions {
-        self.kernel
-    }
-
-    /// Select the kernel for subsequent decodes through this scratch.
-    pub fn set_kernel(&mut self, kernel: KernelOptions) {
-        self.kernel = kernel;
-    }
-}
-
 /// Find the locally memoized handle for `(cell_m, r_cells)`, going to
 /// the process-wide [`shared_stencil`] store on a local miss — repeated
 /// radius keys across sessions and trials are deduplicated once, not
-/// per scratch.
+/// per decoder.
 fn cached_stencil(stencils: &mut Vec<Arc<AnnulusStencil>>, cell_m: f64, r_cells: i32) -> usize {
     if let Some(i) =
         stencils.iter().position(|s| s.cell_m() == cell_m && s.r_cells() == r_cells)
@@ -988,203 +905,6 @@ fn cached_stencil(stencils: &mut Vec<Arc<AnnulusStencil>>, cell_m: f64, r_cells:
 /// deterministic and implementation-independent.
 fn beam_order(a: &(u32, f64), b: &(u32, f64)) -> Ordering {
     b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0))
-}
-
-thread_local! {
-    /// Per-thread default scratch backing [`viterbi_beam`] /
-    /// [`viterbi_with_stats`]: repeated decodes on a thread (every trial
-    /// in `experiments::runner`) reuse buffers and caches for free.
-    static THREAD_SCRATCH: RefCell<DecoderScratch> = RefCell::new(DecoderScratch::new());
-}
-
-/// Viterbi decoding of the cell sequence, with a sparse beam frontier.
-///
-/// * `grid` — the state space.
-/// * `antenna_xy` — antenna positions projected on the board.
-/// * `start` — initial position estimate (the paper bootstraps from an
-///   arbitrary point on a measured hyperbola; relative trajectories are
-///   evaluated Procrustes-style so the translation washes out).
-/// * `steps` — one observation per window transition.
-///
-/// Exact Viterbi over the full grid would cost `steps × cells ×
-/// annulus`; since the posterior is sharply unimodal (the pen is one
-/// object), we keep only the best [`DEFAULT_BEAM_WIDTH`] cells per step.
-/// This is the standard beam approximation; the paper's linear-time
-/// claim (§3.5) corresponds to the same pruned regime.
-///
-/// Returns one position per step (the position *after* each step).
-pub fn viterbi(
-    grid: &Grid,
-    antennas: [Vec3; 2],
-    start: Vec2,
-    steps: &[StepObservation],
-    config: &HmmConfig,
-) -> Vec<Vec2> {
-    viterbi_beam(grid, antennas, start, steps, config, DEFAULT_BEAM_WIDTH)
-}
-
-/// [`viterbi`] with an explicit beam width (ablation hook).
-pub fn viterbi_beam(
-    grid: &Grid,
-    antennas: [Vec3; 2],
-    start: Vec2,
-    steps: &[StepObservation],
-    config: &HmmConfig,
-    beam_width: usize,
-) -> Vec<Vec2> {
-    viterbi_with_stats(grid, antennas, start, steps, config, beam_width).0
-}
-
-/// [`viterbi_beam`] plus [`DecodeStats`] work counters, using the
-/// per-thread scratch.
-pub fn viterbi_with_stats(
-    grid: &Grid,
-    antennas: [Vec3; 2],
-    start: Vec2,
-    steps: &[StepObservation],
-    config: &HmmConfig,
-    beam_width: usize,
-) -> (Vec<Vec2>, DecodeStats) {
-    THREAD_SCRATCH.with(|s| {
-        decode_optimized(grid, antennas, start, steps, config, beam_width, &mut s.borrow_mut())
-    })
-}
-
-/// [`viterbi_with_stats`] against caller-held scratch, for callers that
-/// want explicit control of buffer/cache lifetime (benches, services).
-pub fn viterbi_with_scratch(
-    grid: &Grid,
-    antennas: [Vec3; 2],
-    start: Vec2,
-    steps: &[StepObservation],
-    config: &HmmConfig,
-    beam_width: usize,
-    scratch: &mut DecoderScratch,
-) -> (Vec<Vec2>, DecodeStats) {
-    decode_optimized(grid, antennas, start, steps, config, beam_width, scratch)
-}
-
-/// [`viterbi_with_stats`] under an explicit [`KernelOptions`] — the
-/// entry point for the tolerance kernels (benches, ablations, the
-/// equivalence harness). Uses the per-thread scratch; its sticky kernel
-/// selection is restored afterwards, so interleaved default-kernel
-/// decodes on the same thread keep their bit-exact contract.
-pub fn viterbi_with_kernel(
-    grid: &Grid,
-    antennas: [Vec3; 2],
-    start: Vec2,
-    steps: &[StepObservation],
-    config: &HmmConfig,
-    beam_width: usize,
-    kernel: KernelOptions,
-) -> (Vec<Vec2>, DecodeStats) {
-    THREAD_SCRATCH.with(|s| {
-        let mut scratch = s.borrow_mut();
-        let saved = scratch.kernel();
-        scratch.set_kernel(kernel);
-        let out = decode_optimized(grid, antennas, start, steps, config, beam_width, &mut scratch);
-        scratch.set_kernel(saved);
-        out
-    })
-}
-
-/// The optimized decoder core. Performs, per candidate, the *same*
-/// floating-point operations in the *same* order as
-/// [`viterbi_reference`] (the emission lookup returns the exact bits the
-/// reference recomputes), processes frontiers in the same canonical
-/// order, and applies the same membership/pruning rules — so its output
-/// is bit-for-bit identical; only the bookkeeping around the arithmetic
-/// differs.
-#[allow(clippy::too_many_arguments)]
-fn decode_optimized(
-    grid: &Grid,
-    antennas: [Vec3; 2],
-    start: Vec2,
-    steps: &[StepObservation],
-    config: &HmmConfig,
-    beam_width: usize,
-    scratch: &mut DecoderScratch,
-) -> (Vec<Vec2>, DecodeStats) {
-    let mut stats = DecodeStats { steps: steps.len(), ..DecodeStats::default() };
-    if steps.is_empty() {
-        return (Vec::new(), stats);
-    }
-    let beam_width = beam_width.max(8);
-
-    let DecoderScratch {
-        kernel,
-        ks,
-        frontier_cells,
-        frontier_scores,
-        bp_cells,
-        bp_prevs,
-        frame_ends,
-        artifacts,
-    } = scratch;
-    let kernel = *kernel;
-
-    frontier_cells.clear();
-    frontier_scores.clear();
-    bp_cells.clear();
-    bp_prevs.clear();
-    frame_ends.clear();
-
-    // Resolve (or reuse) the rig's shared emission table(s) only when a
-    // step carries a hyperbola measurement; the tables are built once
-    // process-wide and shared by Arc, not rebuilt per scratch.
-    let mut emission: Option<&EmissionTable> = None;
-    let mut emission32: Option<&EmissionTableF32> = None;
-    if steps.iter().any(|o| o.dtheta21.is_some()) {
-        let stale = artifacts
-            .as_ref()
-            .map_or(true, |a| !a.matches(grid, antennas, config.wavelength_m));
-        if stale {
-            *artifacts = Some(artifacts_for(grid, antennas, config.wavelength_m));
-        }
-        let arts = artifacts.as_ref().expect("artifacts resolved above");
-        emission = Some(arts.emission().as_ref());
-        if kernel.precision == KernelPrecision::F32Tolerance {
-            emission32 = Some(arts.emission_f32().as_ref());
-        }
-    }
-
-    frontier_cells.push(grid.index_of(start) as u32);
-    frontier_scores.push(0.0);
-
-    for obs in steps {
-        advance_frontier(
-            grid,
-            antennas,
-            config,
-            beam_width,
-            &kernel,
-            obs,
-            emission,
-            emission32,
-            ks,
-            frontier_cells,
-            frontier_scores,
-            bp_cells,
-            bp_prevs,
-            frame_ends,
-            &mut stats,
-        );
-    }
-
-    // Backtrack from the best final state.
-    let mut idx = best_frontier_cell(frontier_cells, frontier_scores);
-    let mut rev = Vec::with_capacity(steps.len());
-    for f in (0..frame_ends.len()).rev() {
-        let lo = if f == 0 { 0 } else { frame_ends[f - 1] as usize };
-        let hi = frame_ends[f] as usize;
-        rev.push(grid.center(idx as usize));
-        match bp_cells[lo..hi].iter().position(|&c| c == idx) {
-            Some(k) => idx = bp_prevs[lo + k],
-            None => break,
-        }
-    }
-    rev.reverse();
-    (rev, stats)
 }
 
 /// The backtrack root: the frontier cell with the maximal score,
@@ -1432,12 +1152,10 @@ fn expand_f32(
 /// One Viterbi step over the sparse beam frontier: scores every
 /// (frontier × stencil) candidate under the selected
 /// [`KernelOptions`], truncates to the (possibly adaptive) beam under
-/// the canonical order, appends exactly one flat backpointer frame to
-/// `bp_cells`/`bp_prevs`/`frame_ends`, and installs the new frontier
-/// into the SoA `frontier_cells`/`frontier_scores` pair. This is *the*
-/// hot loop; both the batch decoder ([`decode_optimized`]) and the
-/// streaming [`FixedLagDecoder`] call it, which is what keeps their
-/// outputs bit-for-bit identical.
+/// the canonical order, writes the step's backpointer frame into
+/// `frame` (cleared first), and installs the new frontier into the SoA
+/// `frontier_cells`/`frontier_scores` pair. This is *the* hot loop, and
+/// [`FixedLagDecoder::step`] is its only caller.
 ///
 /// With `kernel.threads > 1` the frontier is split into contiguous
 /// chunks ([`rf_core::chunk_bounds`]), expanded on scoped workers with
@@ -1461,9 +1179,7 @@ fn advance_frontier(
     ks: &mut KernelScratch,
     frontier_cells: &mut Vec<u32>,
     frontier_scores: &mut Vec<f64>,
-    bp_cells: &mut Vec<u32>,
-    bp_prevs: &mut Vec<u32>,
-    frame_ends: &mut Vec<u32>,
+    frame: &mut BeamFrame,
     stats: &mut DecodeStats,
 ) {
     let n = grid.len();
@@ -1548,7 +1264,8 @@ fn advance_frontier(
         preds.resize(n, u32::MAX);
     }
 
-    let workers = kernel.threads.max(1).min(frontier_cells.len().max(1));
+    let workers =
+        kernel.threads.clamp(1, MAX_KERNEL_THREADS).min(frontier_cells.len().max(1));
     if workers > 1 {
         // Chunked intra-step expansion over scoped workers.
         if chunks.len() < workers {
@@ -1679,14 +1396,13 @@ fn advance_frontier(
         );
     }
 
+    frame.cells.clear();
+    frame.prevs.clear();
     if touched.is_empty() {
         // Inconsistent step: carry the frontier through unchanged.
         stats.carried_steps += 1;
-        for &c in frontier_cells.iter() {
-            bp_cells.push(c);
-            bp_prevs.push(c);
-        }
-        frame_ends.push(bp_cells.len() as u32);
+        frame.cells.extend_from_slice(frontier_cells);
+        frame.prevs.extend_from_slice(frontier_cells);
         return;
     }
     stats.touched_cells += touched.len() as u64;
@@ -1695,7 +1411,9 @@ fn advance_frontier(
     next_cells.extend_from_slice(touched);
 
     // Effective beam: the configured width, shrunk to the within-margin
-    // set when the adaptive beam is on and the score mass concentrates.
+    // set when the adaptive beam is on and the score mass concentrates —
+    // never below one cell, whatever margin or `min_keep` the caller
+    // (or a restored checkpoint) supplied.
     let mut eff_beam = beam_width;
     if let Some(adaptive) = kernel.adaptive {
         let within = if f32_kernel {
@@ -1713,7 +1431,7 @@ fn advance_frontier(
             let floor = best - adaptive.margin;
             next_cells.iter().filter(|&&c| scores[c as usize] >= floor).count()
         };
-        let kept = within.max(adaptive.min_keep).min(beam_width);
+        let kept = within.max(adaptive.min_keep).min(beam_width).max(1);
         if kept < next_cells.len().min(beam_width) {
             stats.adaptive_shrunk_steps += 1;
         }
@@ -1750,18 +1468,18 @@ fn advance_frontier(
         next_cells.sort_unstable_by(cmp);
     }
 
-    // Flat backpointer frame in canonical beam order; install the new
-    // SoA frontier from the dense lanes, then reset the lanes.
+    // Backpointer frame in canonical beam order; install the new SoA
+    // frontier from the dense lanes, then reset the lanes.
+    frame.cells.extend_from_slice(next_cells);
+    frame.prevs.extend(next_cells.iter().map(|&c| preds[c as usize]));
     frontier_cells.clear();
     frontier_scores.clear();
-    for &c in next_cells.iter() {
-        let cu = c as usize;
-        bp_cells.push(c);
-        bp_prevs.push(preds[cu]);
-        frontier_cells.push(c);
-        frontier_scores.push(if f32_kernel { scores32[cu] as f64 } else { scores[cu] });
+    frontier_cells.extend_from_slice(next_cells);
+    if f32_kernel {
+        frontier_scores.extend(next_cells.iter().map(|&c| scores32[c as usize] as f64));
+    } else {
+        frontier_scores.extend(next_cells.iter().map(|&c| scores[c as usize]));
     }
-    frame_ends.push(bp_cells.len() as u32);
     for &c in touched.iter() {
         let cu = c as usize;
         if f32_kernel {
@@ -1795,20 +1513,17 @@ pub struct BeamFrame {
 /// current best path is traced back to it and its cell centre is
 /// committed — and the frame is freed (recycled into an internal
 /// pool). [`finish`](Self::finish) backtracks over the still-retained
-/// frames exactly like the batch decoder and appends that tail to the
-/// committed prefix.
+/// frames and appends that tail to the committed prefix.
 ///
-/// With `lag ≥ steps` nothing commits early and the output is
-/// **bit-for-bit identical** to [`viterbi_beam`] / [`viterbi_reference`]:
-/// each step runs the same [`advance_frontier`] hot loop (same
-/// [`EmissionTable`] / [`AnnulusStencil`] machinery, same canonical
-/// beam order) and the final backtrack is the same code shape over the
-/// same frames. With a finite lag the decoder trades a bounded amount
-/// of hindsight for O(lag × beam) memory — the online operating mode.
-///
-/// Unlike the batch entry points this struct *owns* its buffers (it
-/// must be checkpointable and survive across calls), so it does not
-/// use the thread-local [`DecoderScratch`].
+/// This is the only decoder driver: online tracking, serving and the
+/// batch helper [`decode`](Self::decode) all step it. With
+/// `lag ≥ steps` nothing commits early and, on the `F64Exact` kernel at
+/// any thread count, the output is **bit-for-bit identical** to the
+/// oracle [`viterbi_reference`] (same per-candidate arithmetic, same
+/// canonical beam order, same backtrack). With a finite lag the decoder
+/// trades a bounded amount of hindsight for O(lag × beam) memory — the
+/// online operating mode. It owns its buffers (it must be checkpointable
+/// and survive across calls) and recycles committed frames.
 #[derive(Debug)]
 pub struct FixedLagDecoder {
     grid: Grid,
@@ -1825,9 +1540,6 @@ pub struct FixedLagDecoder {
     stats: DecodeStats,
     // Scratch (reconstructible) state.
     ks: KernelScratch,
-    bp_cells: Vec<u32>,
-    bp_prevs: Vec<u32>,
-    frame_ends: Vec<u32>,
     pool: Vec<BeamFrame>,
     artifacts: Option<Arc<DecodeArtifacts>>,
 }
@@ -1885,34 +1597,51 @@ impl FixedLagDecoder {
             committed,
             stats,
             ks: KernelScratch::default(),
-            bp_cells: Vec::new(),
-            bp_prevs: Vec::new(),
-            frame_ends: Vec::new(),
             pool: Vec::new(),
             artifacts: None,
         }
     }
 
+    /// Decode a whole observation sequence in one call: a decoder with
+    /// infinite lag (nothing commits early) under `kernel`, stepped
+    /// through `steps`, then [`finish`](Self::finish)ed. Returns one
+    /// position per step (the position *after* each step) and the work
+    /// counters. This is the batch entry point for tests, benches and
+    /// ablations; it runs exactly the code every online session runs.
+    #[allow(clippy::too_many_arguments)]
+    pub fn decode(
+        grid: &Grid,
+        antennas: [Vec3; 2],
+        start: Vec2,
+        steps: &[StepObservation],
+        config: &HmmConfig,
+        beam_width: usize,
+        kernel: KernelOptions,
+    ) -> (Vec<Vec2>, DecodeStats) {
+        let mut dec = FixedLagDecoder::new(*grid, antennas, start, *config, beam_width, usize::MAX);
+        dec.set_kernel(kernel);
+        for obs in steps {
+            dec.step(obs);
+        }
+        let stats = dec.stats();
+        (dec.finish(), stats)
+    }
+
     /// Consume one observation; returns how many points were committed
     /// (0 while within the lag, 1 once the pipeline is full).
     pub fn step(&mut self, obs: &StepObservation) -> usize {
-        // Resolve (or reuse) the rig's shared emission table(s) only
-        // when the step carries a hyperbola measurement — same laziness
-        // rule as the batch decoder, same bits either way (the table
-        // caches the exact values `expected_dtheta21` returns). N
-        // concurrent sessions on one rig resolve to one process-wide
-        // table.
-        let f32_kernel = self.kernel.precision == KernelPrecision::F32Tolerance;
+        // Resolve the rig's shared emission table(s) only when a step
+        // carries a hyperbola measurement (the table caches the exact
+        // values `expected_dtheta21` returns, so the bits are the same
+        // either way). A decoder's rig never changes, so this resolves
+        // at most once; N concurrent sessions on one rig resolve to one
+        // process-wide table.
         let (emission, emission32): (Option<&EmissionTable>, Option<&EmissionTableF32>) =
             if obs.dtheta21.is_some() {
-                let stale = self.artifacts.as_ref().map_or(true, |a| {
-                    !a.matches(&self.grid, self.antennas, self.config.wavelength_m)
+                let arts = self.artifacts.get_or_insert_with(|| {
+                    artifacts_for(&self.grid, self.antennas, self.config.wavelength_m)
                 });
-                if stale {
-                    self.artifacts =
-                        Some(artifacts_for(&self.grid, self.antennas, self.config.wavelength_m));
-                }
-                let arts = self.artifacts.as_ref().expect("artifacts resolved above");
+                let f32_kernel = self.kernel.precision == KernelPrecision::F32Tolerance;
                 (
                     Some(arts.emission().as_ref()),
                     if f32_kernel { Some(arts.emission_f32().as_ref()) } else { None },
@@ -1922,9 +1651,9 @@ impl FixedLagDecoder {
             };
 
         self.stats.steps += 1;
-        self.bp_cells.clear();
-        self.bp_prevs.clear();
-        self.frame_ends.clear();
+        // The new frame reuses a committed frame's buffers when the
+        // pool has one.
+        let mut frame = self.pool.pop().unwrap_or_default();
         advance_frontier(
             &self.grid,
             self.antennas,
@@ -1937,18 +1666,9 @@ impl FixedLagDecoder {
             &mut self.ks,
             &mut self.frontier_cells,
             &mut self.frontier_scores,
-            &mut self.bp_cells,
-            &mut self.bp_prevs,
-            &mut self.frame_ends,
+            &mut frame,
             &mut self.stats,
         );
-        // Move the single new flat frame into the retained deque,
-        // recycling a pooled frame's buffers when available.
-        let mut frame = self.pool.pop().unwrap_or_default();
-        frame.cells.clear();
-        frame.cells.extend_from_slice(&self.bp_cells);
-        frame.prevs.clear();
-        frame.prevs.extend_from_slice(&self.bp_prevs);
         self.frames.push_back(frame);
 
         let mut newly_committed = 0;
@@ -2091,9 +1811,10 @@ impl FixedLagDecoder {
 /// [`expected_dtheta21`] recomputation, `HashMap` backpointers, and a
 /// full frontier sort — the seed implementation, kept verbatim except
 /// that beam truncation uses the same canonical total order (score
-/// descending, cell ascending) as the optimized decoder, making the two
-/// comparable state-for-state. `tests/decoder_equivalence.rs` asserts
-/// [`viterbi_beam`] matches this function bit-for-bit; the `decode`
+/// descending, cell ascending) as [`FixedLagDecoder`], making the two
+/// comparable state-for-state. This is the oracle:
+/// `tests/decoder_equivalence.rs` and `tests/kernel_equivalence.rs`
+/// assert the `F64Exact` driver matches it bit-for-bit, and the `decode`
 /// bench suite measures the speedup over it.
 pub fn viterbi_reference(
     grid: &Grid,
@@ -2235,6 +1956,18 @@ mod tests {
         [Vec3::new(-0.28, 0.15, 0.65), Vec3::new(0.28, 0.15, 0.65)]
     }
 
+    /// The exact kernel at `beam` through the one driver.
+    fn decode_exact(
+        g: &Grid,
+        rig: [Vec3; 2],
+        start: Vec2,
+        steps: &[StepObservation],
+        cfg: &HmmConfig,
+        beam: usize,
+    ) -> (Vec<Vec2>, DecodeStats) {
+        FixedLagDecoder::decode(g, rig, start, steps, cfg, beam, KernelOptions::exact())
+    }
+
     #[test]
     fn grid_indexing_round_trips() {
         let g = small_grid();
@@ -2326,7 +2059,7 @@ mod tests {
     #[test]
     fn emission_table_matches_direct_computation() {
         let g = small_grid();
-        let table = EmissionTable::build(&g, rig(), 0.3276);
+        let table = EmissionTable::build(&g, rig(), 0.3276, 1);
         assert_eq!(table.len(), g.len());
         assert!(!table.is_empty());
         for idx in [0, 3, g.len() / 2, g.len() - 1] {
@@ -2339,14 +2072,12 @@ mod tests {
 
     #[test]
     fn parallel_table_build_is_bit_identical() {
-        // `build_with_workers` pins the exact worker count (the small
-        // test grid is below `PARALLEL_BUILD_MIN_CELLS`, so
-        // `build_parallel` would silently run sequentially and make
-        // this vacuous).
+        // `build` runs the exact worker count asked for, so the small
+        // test grid really fans out (no `build_threads_for` clamp).
         let g = small_grid();
-        let seq = EmissionTable::build(&g, rig(), 0.3276);
-        for workers in [1, 2, 3, 8] {
-            let par = EmissionTable::build_with_workers(&g, rig(), 0.3276, workers);
+        let seq = EmissionTable::build(&g, rig(), 0.3276, 1);
+        for workers in [0, 2, 3, 8, 1000] {
+            let par = EmissionTable::build(&g, rig(), 0.3276, workers);
             assert_eq!(par.len(), seq.len(), "workers={workers}");
             for idx in 0..g.len() {
                 assert_eq!(
@@ -2355,12 +2086,6 @@ mod tests {
                     "cell {idx}, workers={workers}"
                 );
             }
-        }
-        // The clamped entry point stays bit-identical too (it resolves
-        // to the sequential build here).
-        let clamped = EmissionTable::build_parallel(&g, rig(), 0.3276, 8);
-        for idx in 0..g.len() {
-            assert_eq!(clamped.expected(idx).to_bits(), seq.expected(idx).to_bits());
         }
     }
 
@@ -2390,7 +2115,7 @@ mod tests {
     #[test]
     fn emission_table_f32_is_the_cast_of_the_f64_table() {
         let g = small_grid();
-        let table = EmissionTable::build(&g, rig(), 0.3276);
+        let table = EmissionTable::build(&g, rig(), 0.3276, 1);
         let t32 = EmissionTableF32::from_table(&table);
         assert_eq!(t32.len(), table.len());
         assert!(!t32.is_empty());
@@ -2406,11 +2131,13 @@ mod tests {
         let cfg = HmmConfig::default();
         let steps = mixed_steps();
         for beam in [2usize, 64, 2500] {
-            let (want, want_stats) = viterbi_with_stats(&g, rig(), start, &steps, &cfg, beam);
+            let exact = KernelOptions::exact();
+            let (want, want_stats) =
+                FixedLagDecoder::decode(&g, rig(), start, &steps, &cfg, beam, exact);
             for threads in [1usize, 2, 8] {
-                let kernel = KernelOptions::exact().with_threads(threads);
+                let kernel = exact.with_threads(threads);
                 let (got, got_stats) =
-                    viterbi_with_kernel(&g, rig(), start, &steps, &cfg, beam, kernel);
+                    FixedLagDecoder::decode(&g, rig(), start, &steps, &cfg, beam, kernel);
                 assert_eq!(got.len(), want.len(), "beam {beam} threads {threads}");
                 for (a, b) in got.iter().zip(&want) {
                     assert!(
@@ -2429,13 +2156,14 @@ mod tests {
         let start = Vec2::new(0.02, 0.05);
         let cfg = HmmConfig::default();
         let steps = mixed_steps();
-        let (exact, _) = viterbi_with_stats(&g, rig(), start, &steps, &cfg, 256);
+        let (exact, _) =
+            FixedLagDecoder::decode(&g, rig(), start, &steps, &cfg, 256, KernelOptions::exact());
         let kernel = KernelOptions {
             precision: KernelPrecision::F32Tolerance,
             adaptive: None,
             threads: 1,
         };
-        let (got, stats) = viterbi_with_kernel(&g, rig(), start, &steps, &cfg, 256, kernel);
+        let (got, stats) = FixedLagDecoder::decode(&g, rig(), start, &steps, &cfg, 256, kernel);
         assert_eq!(got.len(), exact.len());
         assert_eq!(stats.steps, steps.len());
         // Smoke-level closeness; the quantitative oracle lives in
@@ -2452,10 +2180,10 @@ mod tests {
         let cfg = HmmConfig::default();
         let steps: Vec<StepObservation> =
             (0..10).map(|_| moving_step(0.008, 0.012, Some(Vec2::new(1.0, 0.0)))).collect();
-        let (want, base) = viterbi_with_stats(&g, rig(), start, &steps, &cfg, 2500);
-        let kernel = KernelOptions::exact()
-            .with_adaptive(Some(AdaptiveBeam { margin: 0.25, min_keep: 4 }));
-        let (got, stats) = viterbi_with_kernel(&g, rig(), start, &steps, &cfg, 2500, kernel);
+        let exact = KernelOptions::exact();
+        let (want, base) = FixedLagDecoder::decode(&g, rig(), start, &steps, &cfg, 2500, exact);
+        let kernel = exact.with_adaptive(Some(AdaptiveBeam { margin: 0.25, min_keep: 4 }));
+        let (got, stats) = FixedLagDecoder::decode(&g, rig(), start, &steps, &cfg, 2500, kernel);
         assert!(stats.adaptive_shrunk_steps > 0, "tight margin must shrink: {stats:?}");
         assert!(stats.max_frontier <= 2500);
         assert!(stats.max_frontier < base.max_frontier, "shrink must be visible");
@@ -2510,7 +2238,8 @@ mod tests {
         // Phase measures ~8 mm of motion per step along `dir`.
         let steps: Vec<StepObservation> =
             (0..10).map(|_| moving_step(0.008, 0.012, Some(dir))).collect();
-        let track = viterbi(&g, rig(), start, &steps, &HmmConfig::default());
+        let track =
+            decode_exact(&g, rig(), start, &steps, &HmmConfig::default(), DEFAULT_BEAM_WIDTH).0;
         assert_eq!(track.len(), 10);
         let end = track.last().unwrap();
         assert!(end.x > start.x + 0.05, "track must progress rightward, got {end:?}");
@@ -2529,7 +2258,8 @@ mod tests {
                 target_dist: 0.009,
             })
             .collect();
-        let track = viterbi(&g, rig(), start, &steps, &HmmConfig::default());
+        let track =
+            decode_exact(&g, rig(), start, &steps, &HmmConfig::default(), DEFAULT_BEAM_WIDTH).0;
         for w in track.windows(2) {
             let d = w[0].distance(w[1]);
             assert!(d > 0.004, "lower bound must prevent standing still, step {d}");
@@ -2553,7 +2283,8 @@ mod tests {
                 target_dist: 0.01,
             })
             .collect();
-        let track = viterbi(&g, rig, Vec2::new(-0.05, 0.65), &steps, &cfg);
+        let track =
+            decode_exact(&g, rig, Vec2::new(-0.05, 0.65), &steps, &cfg, DEFAULT_BEAM_WIDTH).0;
         let end = *track.last().unwrap();
         let end_err = wrap_pi(expected_dtheta21(end, rig, cfg.wavelength_m) - meas).abs();
         let start_err =
@@ -2568,9 +2299,8 @@ mod tests {
     #[test]
     fn empty_steps_give_empty_track() {
         let g = small_grid();
-        assert!(viterbi(&g, rig(), Vec2::ZERO, &[], &HmmConfig::default()).is_empty());
         let (track, stats) =
-            viterbi_with_stats(&g, rig(), Vec2::ZERO, &[], &HmmConfig::default(), 64);
+            decode_exact(&g, rig(), Vec2::ZERO, &[], &HmmConfig::default(), 64);
         assert!(track.is_empty());
         assert_eq!(stats, DecodeStats::default());
     }
@@ -2591,11 +2321,12 @@ mod tests {
                 target_dist: 0.012,
             },
         );
-        let track = viterbi(&g, rig(), start, &steps, &HmmConfig::default());
+        let track =
+            decode_exact(&g, rig(), start, &steps, &HmmConfig::default(), DEFAULT_BEAM_WIDTH).0;
         assert_eq!(track.len(), steps.len(), "decoder must survive the bad step");
         // The carried-through step is visible in the work counters.
         let (_, stats) =
-            viterbi_with_stats(&g, rig(), start, &steps, &HmmConfig::default(), 64);
+            decode_exact(&g, rig(), start, &steps, &HmmConfig::default(), 64);
         assert_eq!(stats.steps, steps.len());
         assert_eq!(stats.carried_steps, 1);
     }
@@ -2622,7 +2353,7 @@ mod tests {
             ),
         ];
         for (steps, beam) in scenarios {
-            let fast = viterbi_beam(&g, rig, Vec2::new(0.02, 0.05), &steps, &cfg, beam);
+            let fast = decode_exact(&g, rig, Vec2::new(0.02, 0.05), &steps, &cfg, beam).0;
             let slow = viterbi_reference(&g, rig, Vec2::new(0.02, 0.05), &steps, &cfg, beam);
             assert_eq!(fast.len(), slow.len());
             for (a, b) in fast.iter().zip(&slow) {
@@ -2640,7 +2371,7 @@ mod tests {
         let steps: Vec<StepObservation> =
             (0..10).map(|_| moving_step(0.008, 0.012, Some(Vec2::new(1.0, 0.0)))).collect();
         let (track, stats) =
-            viterbi_with_stats(&g, rig(), Vec2::new(0.02, 0.05), &steps, &HmmConfig::default(), 64);
+            decode_exact(&g, rig(), Vec2::new(0.02, 0.05), &steps, &HmmConfig::default(), 64);
         assert_eq!(track.len(), 10);
         assert_eq!(stats.steps, 10);
         assert_eq!(stats.carried_steps, 0);
@@ -2650,39 +2381,6 @@ mod tests {
         assert!(stats.mean_frontier() >= 1.0);
         // Every scored candidate either survived or was pruned.
         assert!(stats.expansions >= stats.pruned_below_min + stats.touched_cells);
-    }
-
-    /// Scratch caches (stencils, emission table) must invalidate
-    /// correctly when the rig or grid changes between calls.
-    #[test]
-    fn scratch_reuse_across_rigs_is_sound() {
-        let mut scratch = DecoderScratch::new();
-        let cfg = HmmConfig::default();
-        let g1 = small_grid();
-        let g2 = Grid::covering(Vec2::new(-0.1, 0.55), Vec2::new(0.1, 0.75), 0.008);
-        let rig1 = rig();
-        let rig2 = [Vec3::new(-0.4, 0.1, 0.5), Vec3::new(0.4, 0.1, 0.5)];
-        let mk = |g: &Grid, r: [Vec3; 2]| -> Vec<StepObservation> {
-            let meas = expected_dtheta21(g.center(g.len() / 2), r, cfg.wavelength_m);
-            (0..6)
-                .map(|_| StepObservation {
-                    region: FeasibleRegion { min_dist: 0.004, max_dist: 0.012 },
-                    direction: None,
-                    dtheta21: Some(meas),
-                    target_dist: 0.005,
-                })
-                .collect()
-        };
-        for (g, r) in [(&g1, rig1), (&g2, rig2), (&g1, rig1), (&g1, rig2)] {
-            let steps = mk(g, r);
-            let start = g.center(0);
-            let (warm, _) =
-                viterbi_with_scratch(g, r, start, &steps, &cfg, 128, &mut scratch);
-            let (cold, _) =
-                viterbi_with_scratch(g, r, start, &steps, &cfg, 128, &mut DecoderScratch::new());
-            assert_eq!(warm, cold);
-            assert_eq!(warm, viterbi_reference(g, r, start, &steps, &cfg, 128));
-        }
     }
 
     /// Mixed scenario steps for streaming tests: direction priors,
@@ -2712,28 +2410,25 @@ mod tests {
     }
 
     #[test]
-    fn fixed_lag_with_infinite_lag_matches_batch_bitwise() {
+    fn fixed_lag_with_infinite_lag_never_commits_and_matches_reference() {
         let g = small_grid();
         let start = Vec2::new(0.02, 0.05);
         let cfg = HmmConfig::default();
         let steps = mixed_steps();
         for beam in [4usize, 64, 2500] {
-            let (batch, batch_stats) =
-                viterbi_with_stats(&g, rig(), start, &steps, &cfg, beam);
+            let want = viterbi_reference(&g, rig(), start, &steps, &cfg, beam);
             let mut dec = FixedLagDecoder::new(g, rig(), start, cfg, beam, usize::MAX);
             for obs in &steps {
                 assert_eq!(dec.step(obs), 0, "infinite lag must never commit early");
             }
-            let stream_stats = dec.stats();
             let stream = dec.finish();
-            assert_eq!(stream.len(), batch.len());
-            for (a, b) in stream.iter().zip(&batch) {
+            assert_eq!(stream.len(), want.len());
+            for (a, b) in stream.iter().zip(&want) {
                 assert!(
                     a.x.to_bits() == b.x.to_bits() && a.y.to_bits() == b.y.to_bits(),
                     "beam {beam}: {a:?} vs {b:?}"
                 );
             }
-            assert_eq!(stream_stats, batch_stats, "work counters must agree");
         }
     }
 
@@ -2756,7 +2451,7 @@ mod tests {
         let track = dec.finish();
         assert_eq!(track.len(), steps.len());
         // The committed prefix is frozen: finish() must not rewrite it.
-        let (batch, _) = viterbi_with_stats(&g, rig(), start, &steps, &cfg, 64);
+        let (batch, _) = decode_exact(&g, rig(), start, &steps, &cfg, 64);
         assert_eq!(track.len(), batch.len());
     }
 

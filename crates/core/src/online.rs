@@ -51,7 +51,7 @@ use crate::distance::{directional_displacement, expected_dtheta21, feasible_regi
 use crate::durability::RestoreError;
 use crate::hmm::{
     rotate_trajectory, AdaptiveBeam, BeamFrame, DecodeStats, FixedLagDecoder, Grid,
-    KernelOptions, KernelPrecision, StepObservation, DEFAULT_BEAM_WIDTH,
+    KernelOptions, KernelPrecision, StepObservation, DEFAULT_BEAM_WIDTH, MAX_KERNEL_THREADS,
 };
 use crate::model::{direction_from_azimuth, rotation_angle, Cardinal, Rotation, Sector};
 use crate::pipeline::{DegradationReport, PolarDrawConfig, StepEstimate, StepKind, TrackOutput};
@@ -1230,14 +1230,30 @@ fn kernel_options_from(v: &Json) -> Result<KernelOptions, JsonError> {
         Some("f32") => KernelPrecision::F32Tolerance,
         other => return Err(jerr(format!("bad kernel precision {other:?}"))),
     };
+    // Untrusted values the decoder cannot carry are typed rejections: a
+    // margin that is negative or not finite keeps nothing, a zero
+    // `min_keep` lets the beam shrink to nothing, and each intra-step
+    // worker sizes its own per-cell maps.
     let adaptive = match v.get("adaptive") {
         None | Some(Json::Null) => None,
-        Some(a) => Some(AdaptiveBeam {
-            margin: a.req_f64("margin")?,
-            min_keep: req_usize(a, "min_keep")?,
-        }),
+        Some(a) => {
+            let margin = a.req_f64("margin")?;
+            if !(margin.is_finite() && margin >= 0.0) {
+                let why = format!("adaptive margin {margin} must be finite and non-negative");
+                return Err(jerr(why));
+            }
+            let min_keep = req_usize(a, "min_keep")?;
+            if min_keep == 0 {
+                return Err(jerr("adaptive min_keep must be at least 1"));
+            }
+            Some(AdaptiveBeam { margin, min_keep })
+        }
     };
-    Ok(KernelOptions { precision, adaptive, threads: req_usize(v, "threads")? })
+    let threads = req_usize(v, "threads")?;
+    if !(1..=MAX_KERNEL_THREADS).contains(&threads) {
+        return Err(jerr(format!("kernel threads {threads} outside 1..={MAX_KERNEL_THREADS}")));
+    }
+    Ok(KernelOptions { precision, adaptive, threads })
 }
 
 #[cfg(test)]

@@ -44,16 +44,23 @@ cargo test -q --offline --release --test golden
 cargo test -q --offline --release -p rfid-sim faults
 
 echo "== verify: decode kernel equivalence =="
-# Explicit tier-1 gates for the vectorized beam kernels:
+# Explicit tier-1 gates for the decoder. FixedLagDecoder is the only
+# driver (online sessions step it; its `decode` helper runs it with
+# infinite lag for tests and benches), so these suites prove the code
+# production runs:
 # - tests/kernel_equivalence.rs pins the two precision contracts: the
-#   f64 SoA path bit-identical to viterbi_reference at threads 1/2/8,
-#   and the f32 fast path inside the quantitative tolerance oracle
-#   (per-step best scores, glyph-trail Procrustes < 1 cm, fig13
-#   reduced-config letter-accuracy parity),
+#   exact f64 kernel bit-identical to viterbi_reference (the oracle) at
+#   threads 1/2/8, and the f32 fast kernel inside the quantitative
+#   tolerance oracle (per-step best scores, glyph-trail Procrustes
+#   < 1 cm, fig13 reduced-config letter-accuracy parity),
 # - tests/decoder_equivalence.rs sweeps the intra-step-parallel merge
-#   through the degenerate paths (collapse, carry-through, tiny beams).
+#   through the degenerate paths (collapse, carry-through, tiny beams),
+# - the headline work counters (the decode bench's 100-step stream at
+#   2.5 mm, beam 2500) are pinned exactly on both tiers, run by name.
 cargo test -q --offline --release --test kernel_equivalence
 cargo test -q --offline --release --test decoder_equivalence
+cargo test -q --offline --release --test kernel_equivalence \
+    headline_work_counters_are_pinned_on_both_tiers
 
 echo "== verify: polarimetric channel =="
 # Explicit tier-1 gates for the Jones channel layer:
@@ -157,6 +164,13 @@ cargo test -q --offline --release --test durability \
     non_finite_state_is_refused_and_recovery_stays_bitwise
 cargo test -q --offline --release -p rf-core json::tests::write_number_matches_display_formatting
 cargo test -q --offline --release -p rf-core crc::tests::sliced_matches_bytewise
+# Kernel options are untrusted checkpoint input too: an adaptive beam
+# that keeps nothing or an unbounded thread count is a typed restore
+# rejection, and the same options through the API never panic.
+cargo test -q --offline --release --test durability \
+    hostile_kernel_options_are_typed_restore_rejections
+cargo test -q --offline --release --test durability \
+    hostile_kernel_options_through_the_api_never_panic
 
 echo "== verify: no unwrap/expect on untrusted-input paths =="
 # Grep lint over modules that parse bytes arriving from outside the
@@ -182,6 +196,19 @@ lint_unwraps crates/rfid-sim/src/chaos.rs 0
 lint_unwraps crates/core/src/online.rs 2
 lint_unwraps crates/core/src/fleet.rs 1
 lint_unwraps crates/rfid-sim/src/llrp.rs 2
+
+echo "== verify: one decoder driver, one emission builder =="
+# FixedLagDecoder, EmissionTable::build and FleetRouter are the only
+# decoder driver, f64 emission builder and fleet front door; the names
+# of the parallel paths they replaced must not come back, or the
+# equivalence suites would again prove code production never runs.
+forked=$(grep -rnE 'viterbi_beam|viterbi_with_|DecoderScratch|decode_optimized|build_parallel|build_with_workers|SupervisedFleet' \
+    crates tests examples src || true)
+if [ -n "$forked" ]; then
+    echo "FAIL: deleted parallel decode/emission/serving paths are referenced again:" >&2
+    echo "$forked" >&2
+    exit 1
+fi
 
 echo "== verify: dependency graph is workspace-only =="
 # Every line of `cargo tree` that names a crate must carry the marker of

@@ -263,13 +263,13 @@ fn paper_rig() -> ([Vec3; 2], Grid) {
 fn emission_build_is_bitwise_vs_per_cell_spec_at_all_worker_counts() {
     let (antennas, grid) = paper_rig();
     let lambda = 0.3276;
-    let seq = EmissionTable::build(&grid, antennas, lambda);
+    let seq = EmissionTable::build(&grid, antennas, lambda, 1);
     for idx in 0..grid.len() {
         let want = expected_dtheta21(grid.center(idx), antennas, lambda);
         assert_eq!(want.to_bits(), seq.expected(idx).to_bits(), "cell {idx}");
     }
     for workers in [2, 8] {
-        let par = EmissionTable::build_with_workers(&grid, antennas, lambda, workers);
+        let par = EmissionTable::build(&grid, antennas, lambda, workers);
         for idx in 0..grid.len() {
             assert_eq!(
                 seq.expected(idx).to_bits(),
@@ -288,7 +288,7 @@ fn emission_build_is_bitwise_vs_per_cell_spec_at_all_worker_counts() {
 fn f32_direct_emission_build_stays_in_tolerance_and_is_thread_deterministic() {
     let (antennas, grid) = paper_rig();
     let lambda = 0.3276;
-    let exact = EmissionTable::build(&grid, antennas, lambda);
+    let exact = EmissionTable::build(&grid, antennas, lambda, 1);
     let cast = EmissionTableF32::from_table(&exact);
     let direct = EmissionTableF32::build_direct(&grid, antennas, lambda, 1);
     let mut worst = 0.0f64;

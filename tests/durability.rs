@@ -22,10 +22,15 @@
 //!   a typed refusal (never a `null` that restore rejects); the fleet
 //!   keeps the previous generation, counts the refusal, and crash
 //!   recovery stays bitwise.
+//! * **Hostile kernel options** — a checkpoint whose decode kernel the
+//!   decoder cannot carry (an adaptive beam that keeps nothing, zero or
+//!   unbounded intra-step threads) is a typed restore rejection, and the
+//!   same options handed in through the API never panic a decode.
 
 use experiments::setup::{polardraw_config_for, TrialSetup};
 use polardraw_core::durability::NonFiniteNumber;
 use polardraw_core::fleet::{CheckpointPolicy, FleetConfig, FleetRouter, FleetStats};
+use polardraw_core::hmm::{AdaptiveBeam, KernelOptions, KernelPrecision};
 use polardraw_core::{
     durability, open_checkpoint, seal_checkpoint, CheckpointStore, OnlineOptions, OnlineTracker,
     PolarDrawConfig, RestoreError, TrackOutput,
@@ -213,6 +218,64 @@ fn a_torn_write_never_becomes_visible() {
     // The restarted writer completes the commit; only now it lands.
     assert!(store.commit(5, 2));
     assert_eq!(store.recover(5, coarse_config()).expect("recover").generation, 2);
+}
+
+/// Restore the warmed tracker's checkpoint with its kernel options
+/// rewritten (`from` → `to`).
+fn restore_with_kernel_edit(from: &str, to: &str) -> Result<OnlineTracker, RestoreError> {
+    let doc = warmed_tracker().checkpoint_string();
+    assert!(doc.contains(from), "precondition: `{from}` is in the checkpoint");
+    OnlineTracker::restore_from_str(coarse_config(), &doc.replacen(from, to, 1))
+}
+
+#[test]
+fn hostile_kernel_options_are_typed_restore_rejections() {
+    let null = r#""adaptive":null"#;
+    let one = r#""threads":1"#;
+    for (from, to) in [
+        (null, r#""adaptive":{"margin":-1,"min_keep":0}"#),
+        (null, r#""adaptive":{"margin":-1,"min_keep":128}"#),
+        (null, r#""adaptive":{"margin":1e999,"min_keep":128}"#),
+        (null, r#""adaptive":{"margin":8,"min_keep":0}"#),
+        (one, r#""threads":0"#),
+        (one, r#""threads":1000000"#),
+    ] {
+        match restore_with_kernel_edit(from, to) {
+            Err(RestoreError::Field(why)) => assert!(!why.is_empty(), "{to}"),
+            other => panic!("{to}: expected a typed Field rejection, got {other:?}"),
+        }
+    }
+    // The restore ceiling is the one `with_threads` clamps to, and sane
+    // options still restore.
+    let ceiling = KernelOptions::exact().with_threads(usize::MAX).threads;
+    assert!(ceiling > 1 && ceiling < 1_000_000);
+    restore_with_kernel_edit(one, &format!(r#""threads":{ceiling}"#)).expect("at the ceiling");
+    assert!(matches!(
+        restore_with_kernel_edit(one, &format!(r#""threads":{}"#, ceiling + 1)),
+        Err(RestoreError::Field(_))
+    ));
+    restore_with_kernel_edit(null, r#""adaptive":{"margin":0,"min_keep":1}"#)
+        .expect("a zero margin with one kept cell is carried");
+}
+
+#[test]
+fn hostile_kernel_options_through_the_api_never_panic() {
+    let keep_nothing = Some(AdaptiveBeam { margin: -1.0, min_keep: 0 });
+    let nan_margin = Some(AdaptiveBeam { margin: f64::NAN, min_keep: 0 });
+    for precision in [KernelPrecision::F64Exact, KernelPrecision::F32Tolerance] {
+        for kernel in [
+            KernelOptions { precision, adaptive: keep_nothing, threads: 1 },
+            KernelOptions { precision, adaptive: nan_margin, threads: 2 },
+            KernelOptions { precision, adaptive: None, threads: 1_000_000 },
+            KernelOptions { precision, adaptive: None, threads: 1 }.with_threads(usize::MAX),
+        ] {
+            let mut tracker =
+                OnlineTracker::new(coarse_config(), OnlineOptions::default().with_kernel(kernel));
+            tracker.extend(&stream(120, 0.0));
+            let out = tracker.finalize();
+            assert!(!out.trail.points.is_empty(), "{kernel:?}: the session still decodes");
+        }
+    }
 }
 
 const ROUND_S: f64 = 5.0;

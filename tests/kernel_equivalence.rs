@@ -27,10 +27,10 @@
 use experiments::setup::{polardraw_config_for, simulate_reports, TrialSetup};
 use polardraw_core::distance::{expected_dtheta21, FeasibleRegion};
 use polardraw_core::hmm::{
-    viterbi_reference, viterbi_with_kernel, FixedLagDecoder, Grid, HmmConfig, KernelOptions,
-    KernelPrecision, StepObservation,
+    viterbi_reference, FixedLagDecoder, Grid, HmmConfig, KernelOptions, KernelPrecision,
+    StepObservation,
 };
-use polardraw_core::{OnlineOptions, OnlineTracker};
+use polardraw_core::{OnlineOptions, OnlineTracker, PolarDrawConfig};
 use recognition::{procrustes_distance, LetterRecognizer};
 use rf_core::rng::{derive_seed_indexed, Rng64};
 use rf_core::{Vec2, Vec3};
@@ -129,12 +129,55 @@ fn exact_kernel_is_bit_identical_to_reference_across_threads() {
         );
         for threads in [1usize, 2, 8] {
             let kernel = KernelOptions::exact().with_threads(threads);
-            let (got, _) = viterbi_with_kernel(
+            let (got, _) = FixedLagDecoder::decode(
                 &sc.grid, sc.antennas, sc.start, &sc.steps, &sc.config, sc.beam_width, kernel,
             );
             assert_tracks_identical(&got, &want, &format!("{ctx} threads {threads}"));
         }
     });
+}
+
+/// The decoder's work counters on the headline stream (the `decode`
+/// bench's 100-step synthetic observations, default board at 2.5 mm,
+/// beam 2500), pinned exactly on both kernel tiers. They are a pure
+/// function of input and kernel, so any change here is a change in what
+/// the decoder does, not noise — `BENCH_decode.json` carries the same
+/// figures in its notes.
+#[test]
+fn headline_work_counters_are_pinned_on_both_tiers() {
+    let cfg = PolarDrawConfig::default();
+    let hmm = HmmConfig::default();
+    let grid = Grid::covering(cfg.board_min, cfg.board_max, 0.0025);
+    let steps: Vec<StepObservation> = (0..100)
+        .map(|i| StepObservation {
+            region: FeasibleRegion { min_dist: 0.002, max_dist: 0.01 },
+            direction: Some(Vec2::from_angle(i as f64 * 0.1)),
+            dtheta21: Some(0.3),
+            target_dist: 0.004,
+        })
+        .collect();
+    let decode = |kernel| {
+        FixedLagDecoder::decode(&grid, cfg.antennas, cfg.start_hint, &steps, &hmm, 2500, kernel).1
+    };
+
+    let exact = decode(KernelOptions::exact());
+    assert_eq!(exact.steps, 100);
+    assert_eq!(exact.expansions, 11_566_744);
+    assert_eq!(exact.touched_cells, 316_394);
+    assert_eq!(exact.pruned_beam, 77_839);
+    assert_eq!(exact.pruned_below_min, 0);
+    assert_eq!(exact.total_frontier, 236_056);
+    assert_eq!(exact.max_frontier, 2_500);
+    assert_eq!(exact.carried_steps, 0);
+
+    let fast = decode(KernelOptions::fast());
+    assert_eq!(fast.steps, 100);
+    assert_eq!(fast.expansions, 2_688_385);
+    assert_eq!(fast.touched_cells, 94_524);
+    assert_eq!(fast.pruned_beam, 38_525);
+    assert_eq!(fast.total_frontier, 54_865);
+    assert_eq!(fast.max_frontier, 1_111);
+    assert_eq!(fast.adaptive_shrunk_steps, 99);
 }
 
 // ---------------------------------------------------------------------
@@ -197,11 +240,11 @@ fn f32_kernel_is_deterministic_across_threads() {
             adaptive: None,
             threads: 1,
         };
-        let (want, want_stats) = viterbi_with_kernel(
+        let (want, want_stats) = FixedLagDecoder::decode(
             &sc.grid, sc.antennas, sc.start, &sc.steps, &sc.config, sc.beam_width, base,
         );
         for threads in [2usize, 8] {
-            let (got, got_stats) = viterbi_with_kernel(
+            let (got, got_stats) = FixedLagDecoder::decode(
                 &sc.grid,
                 sc.antennas,
                 sc.start,
