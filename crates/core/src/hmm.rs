@@ -46,13 +46,21 @@
 //! state allocates nothing.
 //!
 //! The decoder is kept *exactly* output-equivalent to the retained
-//! naive implementation, [`viterbi_reference`] (the oracle): both perform
-//! identical floating-point operations per candidate in identical order
-//! and share one canonical beam total order (score descending, cell
-//! index ascending), so `tests/decoder_equivalence.rs` can assert
-//! bit-for-bit identical tracks. `cargo bench -p polardraw-bench
-//! --bench decode` (or `scripts/bench.sh`) measures the speedup;
-//! DESIGN.md's "Decoder performance" section keeps the numbers.
+//! naive implementation, [`viterbi_reference`] (the oracle): for every
+//! candidate that can change a kept score both perform identical
+//! floating-point operations in identical order, and they share one
+//! canonical beam total order (score descending, cell index ascending),
+//! so `tests/decoder_equivalence.rs` can assert bit-for-bit identical
+//! tracks. The exact kernel skips work only where a proof shows it
+//! cannot change an output (see `expand_f64`): each cell's hyperbola
+//! term is computed once per step by the reference's own expression (a
+//! memo), a candidate whose hyperbola-only bound cannot beat its cell's
+//! best is skipped while every later weight is non-negative (rounded
+//! subtraction is monotone), and the exact `hypot` runs only for
+//! stencil offsets within the ULP margin of an annulus bound.
+//! `cargo bench -p polardraw-bench --bench decode` (or
+//! `scripts/bench.sh`) measures the speedup; DESIGN.md's "Decoder
+//! performance" section keeps the numbers.
 //!
 //! Beyond the bit-exact default, [`KernelOptions`] opts into three
 //! throughput levers: a fused `f32` inner loop driven by a per-step
@@ -704,8 +712,9 @@ const STENCIL_CACHE_CAP: usize = 64;
 /// the emission lookup differ.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelPrecision {
-    /// The bit-exact kernel: per-candidate `f64` scoring identical to
-    /// [`viterbi_reference`], operation for operation. The default.
+    /// The bit-exact kernel: `f64` scoring identical to
+    /// [`viterbi_reference`], operation for operation, for every
+    /// candidate that can change a kept score. The default.
     F64Exact,
     /// The fused `f32` kernel: per-step transition scores are
     /// precomputed per stencil offset in `f64` and cast once (they
@@ -844,6 +853,7 @@ struct ChunkScratch {
     lo: usize,
     hi: usize,
     scores: Vec<f64>,
+    hyper: Vec<f64>,
     scores32: Vec<f32>,
     preds: Vec<u32>,
     touched: Vec<u32>,
@@ -859,6 +869,9 @@ struct KernelScratch {
     /// Dense per-cell best score this step (`F64Exact`), reset via
     /// `touched`.
     scores: Vec<f64>,
+    /// Dense per-cell hyperbola term this step (`F64Exact`), written on
+    /// a cell's first touch and valid only while its score is set.
+    hyper: Vec<f64>,
     /// Dense per-cell best score this step (`F32Tolerance`).
     scores32: Vec<f32>,
     /// Dense per-cell best predecessor this step.
@@ -867,6 +880,9 @@ struct KernelScratch {
     touched: Vec<u32>,
     /// Stencil offsets trimmed to the current step's radius.
     step_offsets: Vec<StencilOffset>,
+    /// The exact kernel's step plan: the trimmed offsets, classified
+    /// against the annulus bounds.
+    exact_offsets: Vec<ExactOffset>,
     /// Fused per-offset transition scores of the f32 step plan.
     trans32: Vec<TransOffset32>,
     /// Offsets inside the annulus hard lower bound (f32 plan), kept so
@@ -923,6 +939,53 @@ fn best_frontier_cell(cells: &[u32], scores: &[f64]) -> u32 {
     best.map(|(c, _)| c).unwrap_or(0)
 }
 
+/// Where one stencil offset lands against a step's annulus bounds.
+/// Decided on the offset's ideal distance wherever the
+/// [`STENCIL_MARGIN_M`] guard proves the real centre distance lies on
+/// the same side of both bounds; only offsets within the margin of a
+/// bound pay for the exact `hypot`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Reach {
+    /// Certainly within reach and at or above the hard lower bound.
+    Kept,
+    /// Certainly within reach and below the hard lower bound.
+    Pruned,
+    /// Within the margin of a bound: the exact distance decides.
+    Boundary,
+}
+
+/// One stencil offset of the exact kernel's per-step plan.
+#[derive(Debug, Clone, Copy)]
+struct ExactOffset {
+    dx: i32,
+    dy: i32,
+    reach: Reach,
+}
+
+impl ExactOffset {
+    /// Classify `off` against `exact_reach` and `hard_min`. A real
+    /// centre distance `d` sits within a few ULPs of the board
+    /// coordinates of `ideal_dist_m` (≪ [`STENCIL_MARGIN_M`]), so
+    /// `ideal + M < exact_reach` proves `d ≤ exact_reach`,
+    /// `ideal + M < hard_min` proves `d < hard_min`, and
+    /// `ideal − M ≥ hard_min` proves `d ≥ hard_min` — the same premise
+    /// the stencil prefilter rests on. A NaN bound classifies as
+    /// `Boundary`, where the exact comparison runs as before.
+    fn classify(off: &StencilOffset, exact_reach: f64, hard_min: f64) -> ExactOffset {
+        let ideal = off.ideal_dist_m;
+        let reach = if ideal + STENCIL_MARGIN_M >= exact_reach {
+            Reach::Boundary
+        } else if ideal + STENCIL_MARGIN_M < hard_min {
+            Reach::Pruned
+        } else if ideal - STENCIL_MARGIN_M >= hard_min {
+            Reach::Kept
+        } else {
+            Reach::Boundary
+        };
+        ExactOffset { dx: off.dx, dy: off.dy, reach }
+    }
+}
+
 /// Read-only scoring context of one step, shared by every expansion
 /// variant (sequential or chunked).
 struct StepCtx<'a> {
@@ -935,20 +998,53 @@ struct StepCtx<'a> {
     hard_min: f64,
     target: f64,
     dmax: f64,
+    /// Whether every score term after the hyperbola term subtracts a
+    /// non-negative value (or NaN), so a candidate whose hyperbola-only
+    /// bound does not beat its cell's best can be skipped.
+    skip_dominated: bool,
+    /// Whether `d > 1e-12` is exactly "offset ≠ (0, 0)": every non-zero
+    /// offset lies at least one cell, less the margin, away.
+    offset_moves: bool,
 }
 
-/// The bit-exact `f64` expansion of one contiguous frontier range:
-/// per-candidate arithmetic identical to [`viterbi_reference`],
-/// operation for operation, writing dense maps under the first-wins
-/// strict-improvement rule. Runs over the whole frontier (sequential)
-/// or one chunk's range with chunk-local maps (parallel).
+/// The bit-exact `f64` expansion of one contiguous frontier range,
+/// writing dense maps under the first-wins strict-improvement rule.
+/// Runs over the whole frontier (sequential) or one chunk's range with
+/// chunk-local maps (parallel).
+///
+/// Every candidate that can change a kept score runs the floating-point
+/// operations of [`viterbi_reference`] in the same order; the rest is
+/// skipped only where a proof says it cannot change an output:
+///
+/// * **Emission memo.** The hyperbola term depends on the target cell
+///   alone. It is computed on the cell's first touch of the step
+///   (`scores[to] == −∞`) into `hyper`, by the reference's expression,
+///   and every candidate then starts from `s_from − hyper[to]` — the
+///   reference's first subtraction, bit for bit. A step without a Δθ²¹
+///   measurement memoizes `0.0`, and `x − 0.0` is `x` for every `x`.
+/// * **Dominated skip.** With `skip_dominated`, every later term
+///   subtracts a non-negative value or yields NaN, and rounded
+///   subtraction is monotone, so the final score is NaN or at most that
+///   bound. When the bound does not beat `scores[to]`, the strict `>`
+///   update cannot fire and the rest of the scoring is skipped. The
+///   frontier runs in canonical score-descending order, so most late
+///   candidates are dominated.
+/// * **Lazy `hypot`.** The per-step [`ExactOffset`] plan settles reach
+///   and the hard lower bound on the ideal distance; only `Boundary`
+///   offsets compute the exact distance for the tests. Elsewhere it is
+///   computed only where a score term reads it (direction-less steps),
+///   and `d > 1e-12` is the offset test under `offset_moves`.
+///
+/// `expansions` and `pruned_below_min` are counted before any skip, so
+/// the work counters keep their meaning.
 #[allow(clippy::too_many_arguments)]
 fn expand_f64(
     ctx: &StepCtx<'_>,
-    step_offsets: &[StencilOffset],
+    offsets: &[ExactOffset],
     frontier_cells: &[u32],
     frontier_scores: &[f64],
     scores: &mut [f64],
+    hyper: &mut [f64],
     preds: &mut [u32],
     touched: &mut Vec<u32>,
     expansions: &mut u64,
@@ -959,58 +1055,91 @@ fn expand_f64(
     let obs = ctx.obs;
     let nx = grid.nx as i64;
     let ny = grid.ny as i64;
+    // Same formula `Grid::center` uses, with the (ix, iy) we already
+    // hold — identical bits, no div/mod per pair.
+    let center = |ix: i64, iy: i64| {
+        Vec2::new(
+            grid.min.x + (ix as f64 + 0.5) * grid.cell_m,
+            grid.min.y + (iy as f64 + 0.5) * grid.cell_m,
+        )
+    };
+    // Hyperbola term (Fig. 12(c)) of cell `to` at `(ix, iy)`.
+    let hyperbola = |to: usize, ix: i64, iy: i64| match obs.dtheta21 {
+        Some(meas) => {
+            let expected = match ctx.emission {
+                Some(table) => table.expected(to),
+                None => expected_dtheta21(center(ix, iy), ctx.antennas, config.wavelength_m),
+            };
+            let err = wrap_pi(meas - expected).abs() / std::f64::consts::PI;
+            config.hyperbola_weight * err
+        }
+        None => 0.0,
+    };
+    let (mut seen, mut pruned) = (0u64, 0u64);
     for (i, &from) in frontier_cells.iter().enumerate() {
         let s_from = frontier_scores[i];
         let from_us = from as usize;
         let ix0 = (from_us % grid.nx) as i64;
         let iy0 = (from_us / grid.nx) as i64;
-        // Same formula `Grid::center` uses, with the (ix, iy) we
-        // already hold — identical bits, no div/mod per pair.
-        let c_from = Vec2::new(
-            grid.min.x + (ix0 as f64 + 0.5) * grid.cell_m,
-            grid.min.y + (iy0 as f64 + 0.5) * grid.cell_m,
-        );
-        for off in step_offsets.iter() {
+        let c_from = center(ix0, iy0);
+        for off in offsets.iter() {
             let ix = ix0 + off.dx as i64;
             let iy = iy0 + off.dy as i64;
             if ix < 0 || iy < 0 || ix >= nx || iy >= ny {
                 continue;
             }
             let to = iy as usize * grid.nx + ix as usize;
-            let c_to = Vec2::new(
-                grid.min.x + (ix as f64 + 0.5) * grid.cell_m,
-                grid.min.y + (iy as f64 + 0.5) * grid.cell_m,
-            );
-            let delta = c_to - c_from;
-            let d = delta.norm();
-            if d > ctx.exact_reach {
+            let mut exact_d = None;
+            match off.reach {
+                Reach::Kept => seen += 1,
+                Reach::Pruned => {
+                    seen += 1;
+                    pruned += 1;
+                    continue;
+                }
+                Reach::Boundary => {
+                    let d = (center(ix, iy) - c_from).norm();
+                    if d > ctx.exact_reach {
+                        continue;
+                    }
+                    seen += 1;
+                    if d < ctx.hard_min {
+                        pruned += 1;
+                        continue;
+                    }
+                    exact_d = Some(d);
+                }
+            }
+            // A written score beat −∞ and was written with its pred,
+            // so NEG_INFINITY marks "untouched" on its own (same
+            // outcome as the reference's joint (score, pred) sentinel
+            // check).
+            let best = scores[to];
+            if best == f64::NEG_INFINITY {
+                touched.push(to as u32);
+                hyper[to] = hyperbola(to, ix, iy);
+            }
+            let mut s = s_from - hyper[to];
+            // A NaN bound is unordered, and its final score is NaN too.
+            if ctx.skip_dominated && s.partial_cmp(&best) != Some(Ordering::Greater) {
                 continue;
             }
-            *expansions += 1;
-            if d < ctx.hard_min {
-                *pruned_below_min += 1;
-                continue;
-            }
-            let mut s = s_from;
-            // Hyperbola term (Fig. 12(c)).
-            if let Some(meas) = obs.dtheta21 {
-                let expected = match ctx.emission {
-                    Some(table) => table.expected(to),
-                    None => expected_dtheta21(c_to, ctx.antennas, config.wavelength_m),
-                };
-                let err = wrap_pi(meas - expected).abs() / std::f64::consts::PI;
-                s -= config.hyperbola_weight * err;
-            }
+            let delta = center(ix, iy) - c_from;
             // Distance-consistency term: decoded step length should
             // match the phase-measured displacement.
             let (d_along, w_dist) = match obs.direction {
                 Some(dir) => (dir.dot(delta), config.distance_weight),
-                None => (d, config.distance_weight_still),
+                None => (exact_d.unwrap_or_else(|| delta.norm()), config.distance_weight_still),
             };
             s -= w_dist * ((d_along - ctx.target).abs() / ctx.dmax).min(2.0);
             // Direction-line term (Fig. 12(b)).
             if let Some(dir) = obs.direction {
-                if d > 1e-12 {
+                let moving = match exact_d {
+                    Some(d) => d > 1e-12,
+                    None if ctx.offset_moves => off.dx != 0 || off.dy != 0,
+                    None => delta.norm() > 1e-12,
+                };
+                if moving {
                     let perp = dir.cross(delta).abs();
                     s -= config.direction_weight * (perp / ctx.dmax).min(2.0);
                     if dir.dot(delta) < 0.0 {
@@ -1018,19 +1147,14 @@ fn expand_f64(
                     }
                 }
             }
-            // Scores are always finite, so NEG_INFINITY marks
-            // "untouched" on its own (same outcome as the
-            // reference's joint (score, pred) sentinel check).
-            let best = &mut scores[to];
-            if *best == f64::NEG_INFINITY {
-                touched.push(to as u32);
-            }
-            if s > *best {
-                *best = s;
+            if s > best {
+                scores[to] = s;
                 preds[to] = from;
             }
         }
     }
+    *expansions += seen;
+    *pruned_below_min += pruned;
 }
 
 /// Build the f32 kernel's per-step plan: for each prefilter-trimmed
@@ -1185,10 +1309,12 @@ fn advance_frontier(
     let n = grid.len();
     let KernelScratch {
         scores,
+        hyper,
         scores32,
         preds,
         touched,
         step_offsets,
+        exact_offsets,
         trans32,
         rejected32,
         next_cells,
@@ -1238,8 +1364,24 @@ fn advance_frontier(
             (m as f32, config.hyperbola_weight as f32, table)
         })
     } else {
+        exact_offsets.clear();
+        exact_offsets
+            .extend(step_offsets.iter().map(|o| ExactOffset::classify(o, exact_reach, hard_min)));
         None
     };
+    // Every term after the hyperbola term is `w × min(x / dmax, 2)` with
+    // `x ≥ 0` (NaN clamps to 2), or the backward penalty: with these
+    // weights and `dmax` positive (NaN fails), each subtracts a value
+    // that is non-negative or NaN.
+    let skip_dominated = dmax > 0.0
+        && [
+            config.distance_weight,
+            config.distance_weight_still,
+            config.direction_weight,
+            config.backward_penalty,
+        ]
+        .iter()
+        .all(|&w| w >= 0.0);
     let ctx = StepCtx {
         grid,
         antennas,
@@ -1250,6 +1392,8 @@ fn advance_frontier(
         hard_min,
         target,
         dmax,
+        skip_dominated,
+        offset_moves: grid.cell_m - STENCIL_MARGIN_M > 1e-12,
     };
 
     // Size the main dense maps (only the lanes the precision uses).
@@ -1259,6 +1403,7 @@ fn advance_frontier(
         }
     } else if scores.len() < n {
         scores.resize(n, f64::NEG_INFINITY);
+        hyper.resize(n, 0.0);
     }
     if preds.len() < n {
         preds.resize(n, u32::MAX);
@@ -1283,6 +1428,7 @@ fn advance_frontier(
                 }
             } else if chunk.scores.len() < n {
                 chunk.scores.resize(n, f64::NEG_INFINITY);
+                chunk.hyper.resize(n, 0.0);
             }
             if chunk.preds.len() < n {
                 chunk.preds.resize(n, u32::MAX);
@@ -1291,7 +1437,7 @@ fn advance_frontier(
         {
             let fc: &[u32] = frontier_cells;
             let fs: &[f64] = frontier_scores;
-            let so: &[StencilOffset] = step_offsets;
+            let eo: &[ExactOffset] = exact_offsets;
             let t32: &[TransOffset32] = trans32;
             let r32: &[(i32, i32)] = rejected32;
             rf_core::parallel_for_each_mut(&mut chunks[..workers], workers, |chunk| {
@@ -1314,10 +1460,11 @@ fn advance_frontier(
                 } else {
                     expand_f64(
                         &ctx,
-                        so,
+                        eo,
                         cells,
                         cell_scores,
                         &mut chunk.scores,
+                        &mut chunk.hyper,
                         &mut chunk.preds,
                         &mut chunk.touched,
                         &mut chunk.expansions,
@@ -1330,36 +1477,38 @@ fn advance_frontier(
         // improvement rule — exactly the first-wins tie behaviour of
         // the sequential frontier scan over the same contiguous
         // ranges, so maps, touched order, and counters all match the
-        // single-threaded expansion bit-for-bit. Chunk entries are
+        // single-threaded expansion bit-for-bit. The scan pushes a cell
+        // for every candidate that finds it untouched, and a NaN score
+        // leaves it untouched, so a chunk may list a cell more than
+        // once: each entry is judged against the earlier chunks' maps
+        // alone (push first, then fold the chunk in). Chunk entries are
         // reset during the merge, leaving every chunk clean.
         for chunk in chunks.iter_mut().take(workers) {
             stats.expansions += chunk.expansions;
             stats.pruned_below_min += chunk.pruned_below_min;
             if f32_kernel {
+                touched.extend(
+                    chunk.touched.iter().filter(|&&c| scores32[c as usize] == f32::NEG_INFINITY),
+                );
                 for &c in chunk.touched.iter() {
                     let cu = c as usize;
                     let s = chunk.scores32[cu];
-                    let best = &mut scores32[cu];
-                    if *best == f32::NEG_INFINITY {
-                        touched.push(c);
-                    }
-                    if s > *best {
-                        *best = s;
+                    if s > scores32[cu] {
+                        scores32[cu] = s;
                         preds[cu] = chunk.preds[cu];
                     }
                     chunk.scores32[cu] = f32::NEG_INFINITY;
                     chunk.preds[cu] = u32::MAX;
                 }
             } else {
+                touched.extend(
+                    chunk.touched.iter().filter(|&&c| scores[c as usize] == f64::NEG_INFINITY),
+                );
                 for &c in chunk.touched.iter() {
                     let cu = c as usize;
                     let s = chunk.scores[cu];
-                    let best = &mut scores[cu];
-                    if *best == f64::NEG_INFINITY {
-                        touched.push(c);
-                    }
-                    if s > *best {
-                        *best = s;
+                    if s > scores[cu] {
+                        scores[cu] = s;
                         preds[cu] = chunk.preds[cu];
                     }
                     chunk.scores[cu] = f64::NEG_INFINITY;
@@ -1385,10 +1534,11 @@ fn advance_frontier(
     } else {
         expand_f64(
             &ctx,
-            step_offsets,
+            exact_offsets,
             frontier_cells,
             frontier_scores,
             scores,
+            hyper,
             preds,
             touched,
             &mut stats.expansions,
@@ -1519,11 +1669,12 @@ pub struct BeamFrame {
 /// batch helper [`decode`](Self::decode) all step it. With
 /// `lag ≥ steps` nothing commits early and, on the `F64Exact` kernel at
 /// any thread count, the output is **bit-for-bit identical** to the
-/// oracle [`viterbi_reference`] (same per-candidate arithmetic, same
-/// canonical beam order, same backtrack). With a finite lag the decoder
-/// trades a bounded amount of hindsight for O(lag × beam) memory — the
-/// online operating mode. It owns its buffers (it must be checkpointable
-/// and survive across calls) and recycles committed frames.
+/// oracle [`viterbi_reference`] (same arithmetic for every candidate
+/// that can change a kept score, same canonical beam order, same
+/// backtrack). With a finite lag the decoder trades a bounded amount of
+/// hindsight for O(lag × beam) memory — the online operating mode. It
+/// owns its buffers (it must be checkpointable and survive across calls)
+/// and recycles committed frames.
 #[derive(Debug)]
 pub struct FixedLagDecoder {
     grid: Grid,

@@ -833,7 +833,11 @@ impl OnlineTracker {
                 })?;
                 let c = pair[0].as_f64().ok_or_else(|| jerr("non-numeric frontier cell"))?;
                 let s = pair[1].as_f64().ok_or_else(|| jerr("non-numeric frontier score"))?;
-                Ok((c as u32, s))
+                // A non-finite score can never be sealed again.
+                if !s.is_finite() {
+                    return Err(jerr("non-finite frontier score"));
+                }
+                Ok((cell_id(c).ok_or_else(|| jerr("frontier cell is not a cell id"))?, s))
             })
             .collect::<Result<Vec<_>, JsonError>>()?;
         let frames = req_arr(dec, "frames")?
@@ -841,14 +845,14 @@ impl OnlineTracker {
             .map(|f| {
                 let cells = req_arr(f, "cells")?
                     .iter()
-                    .map(|c| c.as_f64().map(|x| x as u32))
+                    .map(|c| c.as_f64().and_then(cell_id))
                     .collect::<Option<Vec<_>>>()
-                    .ok_or_else(|| jerr("non-numeric frame cell"))?;
+                    .ok_or_else(|| jerr("frame cell is not a cell id"))?;
                 let prevs = req_arr(f, "prevs")?
                     .iter()
-                    .map(|c| c.as_f64().map(|x| x as u32))
+                    .map(|c| c.as_f64().and_then(cell_id))
                     .collect::<Option<Vec<_>>>()
-                    .ok_or_else(|| jerr("non-numeric frame prev"))?;
+                    .ok_or_else(|| jerr("frame prev is not a cell id"))?;
                 if cells.len() != prevs.len() {
                     return Err(jerr("frame cells/prevs length mismatch"));
                 }
@@ -867,8 +871,17 @@ impl OnlineTracker {
         if frontier.is_empty() {
             return Err(RestoreError::Field("decoder frontier must not be empty".into()));
         }
+        // A step keeps at most one beam of distinct cells.
+        if frontier.len() > DEFAULT_BEAM_WIDTH {
+            return Err(RestoreError::Field("decoder frontier is wider than the beam".into()));
+        }
+        let mut sorted_cells: Vec<u32> = frontier.iter().map(|&(c, _)| c).collect();
+        sorted_cells.sort_unstable();
+        if sorted_cells.windows(2).any(|w| w[0] == w[1]) {
+            return Err(RestoreError::Field("duplicate decoder frontier cell".into()));
+        }
         let cells_in_grid = |cells: &[u32]| cells.iter().all(|&c| c < n_cells);
-        if !cells_in_grid(&frontier.iter().map(|&(c, _)| c).collect::<Vec<_>>()) {
+        if !cells_in_grid(&sorted_cells) {
             return Err(RestoreError::Field("frontier cell outside the rig's grid".into()));
         }
         for f in &frames {
@@ -937,6 +950,12 @@ fn usize_json(x: usize) -> Json {
 
 fn req_usize(v: &Json, key: &str) -> Result<usize, JsonError> {
     Ok(v.req_f64(key)? as usize)
+}
+
+/// A cell id as the decoder wrote it: a whole number in `u32` range.
+/// A bare `as u32` cast would saturate `-7.5` to cell 0.
+fn cell_id(x: f64) -> Option<u32> {
+    (x >= 0.0 && x.fract() == 0.0 && x <= u32::MAX as f64).then_some(x as u32)
 }
 
 fn req_bool(v: &Json, key: &str) -> Result<bool, JsonError> {

@@ -57,10 +57,22 @@ echo "== verify: decode kernel equivalence =="
 #   through the degenerate paths (collapse, carry-through, tiny beams),
 # - the headline work counters (the decode bench's 100-step stream at
 #   2.5 mm, beam 2500) are pinned exactly on both tiers, run by name.
+# The exact kernel runs the reference's operations for every candidate
+# that can change a kept score, and skips the rest only on a proof: it
+# memoizes each cell's hyperbola term once per step (same expression,
+# same bits), skips a candidate whose hyperbola-only bound cannot beat
+# the cell's best while every later weight is >= 0 (rounded subtraction
+# is monotone), and computes `hypot` only for offsets within the
+# stencil's ULP margin of an annulus bound. The edge sweep, run by
+# name, drives those three shortcuts onto their edges (bounds snapped
+# onto ring distances ±1 ULP, far boards, zero/negative/NaN weights,
+# non-finite Δθ) at threads 1 and 3.
 cargo test -q --offline --release --test kernel_equivalence
 cargo test -q --offline --release --test decoder_equivalence
 cargo test -q --offline --release --test kernel_equivalence \
     headline_work_counters_are_pinned_on_both_tiers
+cargo test -q --offline --release --test decoder_equivalence \
+    kernel_shortcut_edges_stay_equivalent
 
 echo "== verify: polarimetric channel =="
 # Explicit tier-1 gates for the Jones channel layer:
@@ -171,6 +183,12 @@ cargo test -q --offline --release --test durability \
     hostile_kernel_options_are_typed_restore_rejections
 cargo test -q --offline --release --test durability \
     hostile_kernel_options_through_the_api_never_panic
+# The decoder state is untrusted the same way: a non-finite frontier
+# score (which could never be sealed again), a fractional or negative
+# cell id, a frontier wider than the beam, or a duplicate frontier cell
+# is a typed restore rejection.
+cargo test -q --offline --release --test durability \
+    hostile_decoder_states_are_typed_restore_rejections
 
 echo "== verify: no unwrap/expect on untrusted-input paths =="
 # Grep lint over modules that parse bytes arriving from outside the

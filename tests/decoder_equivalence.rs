@@ -2,9 +2,10 @@
 //! (`FixedLagDecoder`, here through its batch helper `decode` on the
 //! exact kernel) and the retained naive reference (`viterbi_reference`).
 //!
-//! The driver's contract is *bit-for-bit* identity: same
-//! floating-point operations per candidate in the same order, same
-//! canonical beam order, same membership/pruning rules. Each sweep
+//! The driver's contract is *bit-for-bit* identity: the same
+//! floating-point operations in the same order for every candidate that
+//! can change a kept score (the kernel skips the rest only on a proof),
+//! same canonical beam order, same membership/pruning rules. Each sweep
 //! below draws randomized grids, rigs, and observation sequences from
 //! `derive_seed_indexed(BASE_SEED, label, i)` (the `tests/properties.rs`
 //! convention — every failing case is reproducible from its printed
@@ -16,7 +17,10 @@
 //! pushed entirely off-board), tiny beam widths (`beam_width < 8`
 //! engages the clamp), still steps (no direction), and hyperbola
 //! measurements (exercising the emission table against direct
-//! recomputation).
+//! recomputation). A last sweep drives the exact kernel's shortcuts —
+//! the per-step emission memo, the dominated-candidate skip and its
+//! weight guard, the `hypot`-only-at-the-boundary reach test — onto
+//! their edges.
 
 use polardraw_core::distance::{expected_dtheta21, FeasibleRegion};
 use polardraw_core::hmm::{
@@ -208,6 +212,90 @@ fn intra_step_parallel_expansion_is_bit_identical() {
                 assert_tracks_identical(&got, &want, &tctx);
                 assert_eq!(got_stats, want_stats, "{tctx}: work counters differ");
             }
+        }
+    });
+}
+
+/// An annulus bound snapped onto one of the stencil's ideal ring
+/// distances (`k·cell` or `hypot(dx, dy)·cell`), nudged by 0, ±1 ULP or
+/// ±1e-10 m — where a candidate's exact centre distance and its ideal
+/// distance can fall on opposite sides of the bound.
+fn snapped_ring(rng: &mut Rng64, cell_m: f64) -> f64 {
+    let ring = if rng.gen_bool(0.5) {
+        rng.gen_index(5) as f64 * cell_m
+    } else {
+        f64::hypot(rng.gen_index(5) as f64, rng.gen_index(5) as f64) * cell_m
+    };
+    match rng.gen_index(5) {
+        0 => ring,
+        1 => ring.next_up(),
+        2 => ring.next_down(),
+        3 => ring + 1e-10,
+        _ => ring - 1e-10,
+    }
+}
+
+/// The exact kernel's shortcuts, driven onto their edges: annulus
+/// bounds snapped onto ideal ring distances (the exact-`hypot`
+/// boundary re-check), boards far from the origin (centre distances
+/// drift from the ideal by more ULPs), zero, negative and NaN score
+/// weights (a negative or NaN one disables the dominated-candidate
+/// skip), and non-finite Δθ²¹ measurements. Tracks must match
+/// `viterbi_reference` bit for bit at threads 1 and 3.
+#[test]
+fn kernel_shortcut_edges_stay_equivalent() {
+    sweep("viterbi_kernel_edges", 160, |rng, ctx| {
+        let mut sc = random_scenario(rng, &[8, 64, 2500]);
+        if rng.gen_bool(0.5) {
+            // Move the whole rig, measurements and all, up to 1 km out.
+            let shift = Vec2::new(rng.gen_range(-1e3..1e3), rng.gen_range(-1e3..1e3));
+            sc.grid.min += shift;
+            sc.start += shift;
+            for a in sc.antennas.iter_mut() {
+                *a = Vec3::new(a.x + shift.x, a.y + shift.y, a.z);
+            }
+        }
+        let weight = |rng: &mut Rng64, w: f64| match rng.gen_index(6) {
+            0 => 0.0,
+            1 => -w,
+            2 => f64::NAN,
+            _ => w,
+        };
+        if rng.gen_bool(0.6) {
+            let c = &mut sc.config;
+            c.hyperbola_weight = weight(rng, c.hyperbola_weight);
+            c.direction_weight = weight(rng, c.direction_weight);
+            c.backward_penalty = weight(rng, c.backward_penalty);
+            c.distance_weight = weight(rng, c.distance_weight);
+            c.distance_weight_still = weight(rng, c.distance_weight_still);
+        }
+        let cell_m = sc.grid.cell_m;
+        for obs in sc.steps.iter_mut() {
+            if rng.gen_bool(0.7) {
+                // The reach test is `d > max_dist + 1e-12`, so the
+                // snapped ring sits either on `max_dist` or on the reach.
+                let shave = if rng.gen_bool(0.5) { 1e-12 } else { 0.0 };
+                obs.region.max_dist = snapped_ring(rng, cell_m).max(cell_m) - shave;
+            }
+            if rng.gen_bool(0.7) {
+                // The hard lower bound is `min_dist − 2·cell`.
+                obs.region.min_dist = snapped_ring(rng, cell_m) + 2.0 * cell_m;
+            }
+            if rng.gen_bool(0.15) {
+                obs.dtheta21 = Some([f64::NAN, f64::INFINITY, f64::NEG_INFINITY][rng.gen_index(3)]);
+            }
+        }
+        let slow = viterbi_reference(
+            &sc.grid,
+            sc.antennas,
+            sc.start,
+            &sc.steps,
+            &sc.config,
+            sc.beam_width,
+        );
+        for threads in [1usize, 3] {
+            let (got, _) = decode(&sc, KernelOptions::exact().with_threads(threads));
+            assert_tracks_identical(&got, &slow, &format!("{ctx} [threads {threads}]"));
         }
     });
 }

@@ -26,6 +26,10 @@
 //!   decoder cannot carry (an adaptive beam that keeps nothing, zero or
 //!   unbounded intra-step threads) is a typed restore rejection, and the
 //!   same options handed in through the API never panic a decode.
+//! * **Hostile decoder state** — a frontier score that could never be
+//!   sealed again, a fractional or negative cell id, a frontier wider
+//!   than the beam, or a duplicate frontier cell is a typed restore
+//!   rejection.
 
 use experiments::setup::{polardraw_config_for, TrialSetup};
 use polardraw_core::durability::NonFiniteNumber;
@@ -276,6 +280,88 @@ fn hostile_kernel_options_through_the_api_never_panic() {
             assert!(!out.trail.points.is_empty(), "{kernel:?}: the session still decodes");
         }
     }
+}
+
+/// `obj[key]`, mutably.
+fn field<'a>(v: &'a mut Json, key: &str) -> &'a mut Json {
+    match v {
+        Json::Obj(m) => m.get_mut(key).unwrap_or_else(|| panic!("missing `{key}`")),
+        other => panic!("`{key}`: not an object: {other:?}"),
+    }
+}
+
+/// `arr[i]`, mutably.
+fn item(v: &mut Json, i: usize) -> &mut Json {
+    match v {
+        Json::Arr(a) => &mut a[i],
+        other => panic!("[{i}]: not an array: {other:?}"),
+    }
+}
+
+/// Stands in for `-1e999`, which the writer refuses to print.
+const NEG_OVERFLOW: f64 = 123456.25;
+
+/// Restore the warmed tracker's checkpoint with its `decoder` section
+/// rewritten by `edit`.
+fn restore_with_decoder_edit(edit: impl FnOnce(&mut Json)) -> Result<OnlineTracker, RestoreError> {
+    let mut doc = Json::parse(&warmed_tracker().checkpoint_string()).expect("checkpoint parses");
+    edit(field(&mut doc, "decoder"));
+    let text = doc.to_json_string().replace(&NEG_OVERFLOW.to_string(), "-1e999");
+    OnlineTracker::restore_from_str(coarse_config(), &text)
+}
+
+/// A decoder state that the decoder never produces, or that could never
+/// be sealed again, is a typed restore rejection: a non-finite frontier
+/// score, a cell id that is fractional or negative (a bare `as u32`
+/// would saturate `-7.5` to cell 0) in the frontier or the frames, a
+/// frontier wider than the beam, and a duplicate frontier cell.
+#[test]
+fn hostile_decoder_states_are_typed_restore_rejections() {
+    type Edit = fn(&mut Json);
+    let cases: [(&str, Edit); 7] = [
+        ("non-finite frontier score", |d| {
+            let Json::Arr(entries) = field(d, "frontier") else { panic!("frontier") };
+            for e in entries.iter_mut() {
+                *item(e, 1) = Json::num(NEG_OVERFLOW);
+            }
+        }),
+        ("frontier cell is not a cell id", |d| {
+            *item(item(field(d, "frontier"), 0), 0) = Json::num(-7.5)
+        }),
+        ("frontier cell is not a cell id", |d| {
+            *item(item(field(d, "frontier"), 0), 0) = Json::num(3.5)
+        }),
+        ("frame cell is not a cell id", |d| {
+            *item(field(item(field(d, "frames"), 0), "cells"), 0) = Json::num(-1.0)
+        }),
+        ("frame prev is not a cell id", |d| {
+            *item(field(item(field(d, "frames"), 0), "prevs"), 0) = Json::num(0.5)
+        }),
+        ("wider than the beam", |d| {
+            let Json::Arr(entries) = field(d, "frontier") else { panic!("frontier") };
+            let cycled: Vec<Json> = entries.iter().cycle().take(200_000).cloned().collect();
+            *entries = cycled;
+        }),
+        ("duplicate decoder frontier cell", |d| {
+            let Json::Arr(entries) = field(d, "frontier") else { panic!("frontier") };
+            entries.push(entries[0].clone());
+        }),
+    ];
+    for (why, edit) in cases {
+        match restore_with_decoder_edit(edit) {
+            Err(RestoreError::Field(got)) => assert!(got.contains(why), "{why}: got {got:?}"),
+            other => panic!(
+                "{why}: expected a typed Field rejection, got {:?}",
+                other.map(|_| "a restored tracker")
+            ),
+        }
+    }
+    // The untouched state and the pinned v2 migration envelope still
+    // restore.
+    restore_with_decoder_edit(|_| {}).expect("the warmed state restores");
+    let pinned = std::fs::read_to_string(snapshot_path("checkpoint_v2_migration.json"))
+        .expect("pinned envelope");
+    open_checkpoint(coarse_config(), &pinned).expect("the pinned v2 envelope restores");
 }
 
 const ROUND_S: f64 = 5.0;
