@@ -34,9 +34,10 @@ pub enum Polarimetry {
     /// The paper's reduction: one real coupling factor per path leg
     /// (`ê·u` for linear antennas, constant `1/√2` for circular). For
     /// linear-copolarized broadside rigs this is provably equivalent to
-    /// `Jones` (`tests/channel_equivalence.rs`) at roughly half the
-    /// per-sample cost — the default and the model every committed
-    /// paper artifact was produced under.
+    /// `Jones` (`tests/channel_equivalence.rs`) at about 0.85× its
+    /// per-link cost (615 vs 718 ns in `BENCH_components.json`) — the
+    /// default and the model every committed paper artifact was
+    /// produced under.
     #[default]
     Scalar,
     /// Full Jones-calculus propagation: each path carries a complex

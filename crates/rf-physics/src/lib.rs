@@ -38,7 +38,6 @@
 #![warn(missing_docs)]
 
 pub mod antenna;
-pub mod batch;
 pub mod channel;
 pub mod multipath;
 pub mod noise;
@@ -47,7 +46,6 @@ pub mod propagation;
 pub mod spectrum;
 
 pub use antenna::{Antenna, Polarization};
-pub use batch::{BatchOptions, BatchPrecision, ChannelBatch, PoseBatch, RigFactors};
 pub use channel::{ChannelModel, LinkObservation, Polarimetry, TagPolarization};
 pub use multipath::{fresnel_rp, fresnel_rs, Bystander, BystanderMotion, Reflector, Surface};
 pub use noise::NoiseModel;

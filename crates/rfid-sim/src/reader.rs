@@ -6,12 +6,16 @@
 //! switches. Each successful round yields one [`TagReport`] whose RSSI
 //! is quantized to 0.5 dB and phase to 12 bits over `[0, 2π)` — the
 //! granularity real LLRP reports carry.
+//!
+//! Every round observes the link through [`ChannelModel::evaluate`],
+//! the one forward model, at the round's MAC time — so a hopping
+//! [`rf_physics::ChannelPlan`] changes the carrier (and the report's
+//! `channel` tag) round by round.
 
 use crate::gen2::Gen2Config;
 use crate::TagReport;
 use rf_core::rng::{gaussian, rng_from_seed};
 use rf_core::wrap_tau;
-use rf_physics::batch::RigFactors;
 use rf_physics::ChannelModel;
 
 /// Reader configuration.
@@ -71,26 +75,6 @@ impl Reader {
         Reader { channel, config: ReaderConfig::default() }
     }
 
-    /// One link observation, through the rig-frozen factors when the
-    /// plan allows freezing (fixed carrier — the paper's mode), else
-    /// the plain per-link model. `RigFactors::evaluate` is bitwise
-    /// identical to `ChannelModel::evaluate`, so the report stream —
-    /// and every golden snapshot derived from it — is unchanged; only
-    /// the per-report forward-model cost drops.
-    #[inline]
-    fn observe(
-        &self,
-        frozen: Option<&RigFactors>,
-        port: usize,
-        pose: TagPose,
-        t: f64,
-    ) -> rf_physics::LinkObservation {
-        match frozen {
-            Some(rig) => rig.evaluate(port, pose.position, pose.dipole, t),
-            None => self.channel.evaluate(port, pose.position, pose.dipole, t),
-        }
-    }
-
     /// Run the inventory loop across a pose trajectory, producing the
     /// LLRP-visible report stream. Deterministic in `seed`.
     ///
@@ -104,7 +88,6 @@ impl Reader {
             _ => return reports,
         };
         let mut rng = rng_from_seed(seed);
-        let frozen = RigFactors::freeze(&self.channel);
         let n_ant = self.channel.antenna_count().max(1);
         let mut t = first;
         let mut pose_idx = 0usize;
@@ -116,7 +99,7 @@ impl Reader {
                 pose_idx += 1;
             }
             let pose = poses[pose_idx];
-            let obs = self.observe(frozen.as_ref(), port, pose, t);
+            let obs = self.channel.evaluate(port, pose.position, pose.dipole, t);
 
             let round = if obs.tag_powered {
                 let snr = self.channel.noise.snr_db(obs.rx_power_dbm);
@@ -183,7 +166,6 @@ impl Reader {
             return reports;
         }
         let mut rng = rng_from_seed(seed);
-        let frozen = RigFactors::freeze(&self.channel);
         let n_ant = self.channel.antenna_count().max(1);
         let mut q = crate::gen2::QAlgorithm::new((tags.len() as f64).log2().ceil() as u32);
         let mut t = first;
@@ -201,7 +183,7 @@ impl Reader {
                 if pose.t > t || poses.last().map_or(true, |p| p.t < t) {
                     continue;
                 }
-                let obs = self.observe(frozen.as_ref(), port, *pose, t);
+                let obs = self.channel.evaluate(port, pose.position, pose.dipole, t);
                 if obs.tag_powered {
                     live.push((ti, *pose, obs.rx_power_dbm));
                 }
@@ -220,7 +202,7 @@ impl Reader {
                         .scheme
                         .packet_success(snr, crate::gen2::frame::EPC_BITS);
                     if rng.gen_bool(p_ok) {
-                        let obs = self.observe(frozen.as_ref(), port, pose, t);
+                        let obs = self.channel.evaluate(port, pose.position, pose.dipole, t);
                         let rssi =
                             obs.rx_power_dbm + self.channel.noise.sample_rssi_noise(&mut rng, rx);
                         let phase =
@@ -275,6 +257,7 @@ mod tests {
     use super::*;
     use rf_core::Vec3;
     use rf_physics::antenna::Antenna;
+    use rf_physics::ChannelPlan;
 
     fn static_poses(duration: f64, dipole: Vec3) -> Vec<TagPose> {
         let dt = 0.002;
@@ -350,6 +333,34 @@ mod tests {
         let poses = static_poses(0.5, Vec3::X);
         assert_eq!(reader.inventory(&poses, 5), reader.inventory(&poses, 5));
         assert_ne!(reader.inventory(&poses, 5), reader.inventory(&poses, 6));
+    }
+
+    #[test]
+    fn hopping_inventory_tags_each_report_with_the_active_channel() {
+        let hopping = |seed| {
+            let mut reader = bench_reader(2);
+            reader.channel.plan = ChannelPlan::hopping_from_seed(seed, 0.2);
+            reader
+        };
+        let reader = hopping(7);
+        let poses = static_poses(1.5, Vec3::X);
+        let reports = reader.inventory(&poses, 3);
+        let span = reports.last().unwrap().t - reports.first().unwrap().t;
+        assert!(span > 1.0, "stream spans only {span} s");
+        for r in &reports {
+            assert_eq!(r.channel, reader.channel.plan.channel_at(r.t), "report at t = {}", r.t);
+        }
+        let mut channels: Vec<usize> = reports.iter().map(|r| r.channel).collect();
+        channels.dedup();
+        assert!(channels.len() > 1, "a 0.2 s dwell over {span} s must hop");
+        assert_eq!(reports, hopping(7).inventory(&poses, 3), "same seeds, same stream");
+
+        let fixed = bench_reader(2);
+        assert!(matches!(fixed.channel.plan, ChannelPlan::Fixed(_)));
+        let reports = fixed.inventory(&poses, 3);
+        assert!(!reports.is_empty());
+        let first = reports[0].channel;
+        assert!(reports.iter().all(|r| r.channel == first), "a fixed plan never hops");
     }
 
     #[test]

@@ -7,10 +7,9 @@
 //! while the `experiments` harness drives them interchangeably.
 //!
 //! The report streams trackers consume come out of [`crate::Reader`]'s
-//! inventory loops, which evaluate the forward model through the
-//! rig-frozen batch path (`rf_physics::batch::RigFactors`) on
-//! fixed-carrier plans — bit-identical observations to the per-link
-//! model, produced without re-deriving per-rig factors on every round.
+//! inventory loops, which evaluate the one forward model,
+//! `rf_physics::ChannelModel::evaluate`, once per inventory round on
+//! fixed and hopping channel plans alike.
 
 use crate::TagReport;
 use rf_core::Vec2;

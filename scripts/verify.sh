@@ -90,20 +90,22 @@ cargo test -q --offline --release -p rf-physics
 cargo test -q --offline --release --test golden golden_report_polarization
 cargo test -q --offline --release --test golden golden_trace_letter_trial_jones
 
-echo "== verify: batched channel engine =="
-# Explicit tier-1 gates for the SoA batch evaluation engine:
-# - tests/channel_batch.rs pins the three precision contracts: the
-#   scalar batch (and the rig-frozen single-link path for both
-#   polarimetries) bit-identical to the per-link ChannelModel, the
-#   restructured Jones batch within 1e-12 per observable across
-#   Fresnel/circular/elliptical/reconfigurable variants, and the
-#   F32Tolerance grid tier inside its quantitative oracle (wrap-aware
-#   emission deltas vs the cast spec + fig13 reduced-config letter
-#   parity) — with thread counts 1/2/8 bit-identical inside each tier,
-# - the RigFactors freeze/evaluate unit tests live in rf-physics
-#   (already run above), the row-kernel bitwise pins in polardraw-core.
+echo "== verify: emission-grid row kernels =="
+# Explicit tier-1 gates for the row kernels behind the decoder's Δθ
+# emission tables (ChannelModel::evaluate is the one forward model and
+# is pinned by the polarimetric-channel gates above):
+# - tests/channel_batch.rs pins EmissionTable::build bit-identical to
+#   the per-cell expected_dtheta21 spec at workers 1/2/8, and the
+#   direct f32 build (EmissionTableF32::build_direct) inside its
+#   tolerance oracle (wrap-aware deltas vs the cast spec, bit-identical
+#   across workers, fig13 reduced-config letter parity),
+# - the dtheta_row unit tests in polardraw-core pin DthetaRowKernel bit
+#   for bit against expected_dtheta21 and DthetaRowKernelF32 inside its
+#   per-cell tolerance; distances_row pins the shared f64 distance row
+#   bit for bit against Vec3::distance.
 cargo test -q --offline --release --test channel_batch
 cargo test -q --offline --release -p polardraw-core dtheta_row
+cargo test -q --offline --release -p polardraw-core distances_row
 
 echo "== verify: online engine + supervised sessions =="
 # Explicit tier-1 gates for the streaming layer:
@@ -215,15 +217,16 @@ lint_unwraps crates/core/src/online.rs 2
 lint_unwraps crates/core/src/fleet.rs 1
 lint_unwraps crates/rfid-sim/src/llrp.rs 2
 
-echo "== verify: one decoder driver, one emission builder =="
-# FixedLagDecoder, EmissionTable::build and FleetRouter are the only
-# decoder driver, f64 emission builder and fleet front door; the names
-# of the parallel paths they replaced must not come back, or the
-# equivalence suites would again prove code production never runs.
-forked=$(grep -rnE 'viterbi_beam|viterbi_with_|DecoderScratch|decode_optimized|build_parallel|build_with_workers|SupervisedFleet' \
+echo "== verify: one decoder driver, one emission builder, one forward model =="
+# FixedLagDecoder, EmissionTable::build, FleetRouter and
+# ChannelModel::evaluate are the only decoder driver, f64 emission
+# builder, fleet front door and link evaluator; the names of the
+# parallel paths they replaced must not come back, or the equivalence
+# suites would again prove code production never runs.
+forked=$(grep -rnE 'viterbi_beam|viterbi_with_|DecoderScratch|decode_optimized|build_parallel|build_with_workers|SupervisedFleet|RigFactors|ChannelBatch|PoseBatch|BatchOptions|BatchPrecision|evaluate_jones_fast|rf_physics::batch' \
     crates tests examples src || true)
 if [ -n "$forked" ]; then
-    echo "FAIL: deleted parallel decode/emission/serving paths are referenced again:" >&2
+    echo "FAIL: deleted parallel decode/emission/serving/channel paths are referenced again:" >&2
     echo "$forked" >&2
     exit 1
 fi

@@ -1,26 +1,21 @@
-//! Batched channel-engine equivalence gates (tier-1, named in
-//! scripts/verify.sh).
+//! Emission-grid kernel gates (tier-1, named in scripts/verify.sh).
 //!
-//! The batch engine (`rf_physics::batch`) carries three precision
-//! contracts, each pinned here:
+//! The decoder's Δθ emission tables are built by the row kernels behind
+//! `polardraw_core::distance::{DthetaRowKernel, DthetaRowKernelF32}`.
+//! Two contracts are pinned here:
 //!
-//! 1. **Scalar bitwise** — over a derived-seed family of whiteboard
-//!    rigs, `ChannelBatch` under `F64Exact` reproduces the per-link
-//!    `ChannelModel` observation bit for bit on every pose and port
-//!    (so the simulator's report streams — and every committed golden —
-//!    cannot move). The rig-frozen *single-link* path
-//!    (`RigFactors::evaluate`) is bitwise for **both** polarimetries.
-//! 2. **Jones batch ≤ 1e-12** — the restructured Jones batch kernel
-//!    reassociates per-path algebra for throughput; every observable
-//!    stays within 1e-12 of the per-link Jones channel, across
-//!    empirical and Fresnel reflectors, linear/circular/elliptical
-//!    reader states, bystanders, and reconfigurable tags.
-//! 3. **f32 tier by tolerance oracle** — the direct `f32` emission
-//!    build is gated quantitatively (wrap-aware per-cell deltas vs the
-//!    cast-of-f64 spec, plus fig13 reduced-config letter-accuracy
-//!    parity), mirroring the PR-6 kernel oracle.
+//! 1. **f64 bitwise** — `EmissionTable::build` reproduces the per-cell
+//!    spec `expected_dtheta21(grid.center(idx))` bit for bit, at worker
+//!    counts 1/2/8.
+//! 2. **f32 tier by tolerance oracle** — the direct `f32` emission
+//!    build (`EmissionTableF32::build_direct`) is gated quantitatively:
+//!    wrap-aware per-cell deltas vs the cast-of-f64 spec, bit-identical
+//!    across worker counts, plus fig13 reduced-config letter-accuracy
+//!    parity with the exact kernel.
 //!
-//! Within each tier, thread counts 1/2/8 are bit-identical.
+//! The forward model itself (`ChannelModel::evaluate`) is pinned by the
+//! rf-physics physics-law unit tests, tests/channel_equivalence.rs and
+//! the golden traces.
 
 use experiments::setup::{polardraw_config_for, simulate_reports, TrialSetup};
 use polardraw_core::distance::expected_dtheta21;
@@ -29,228 +24,11 @@ use polardraw_core::hmm::{
 };
 use polardraw_core::{OnlineOptions, OnlineTracker};
 use recognition::LetterRecognizer;
-use rf_core::rng::{derive_seed_indexed, rng_from_seed, Rng64};
+use rf_core::rng::derive_seed_indexed;
 use rf_core::{wrap_pi, Vec2, Vec3};
-use rf_physics::batch::{BatchOptions, BatchPrecision, ChannelBatch, PoseBatch, RigFactors};
-use rf_physics::{
-    Bystander, BystanderMotion, ChannelModel, LinkObservation, Polarimetry, Polarization,
-    PolState, Surface, TagPolarization,
-};
-
-const TOL: f64 = 1e-12;
-const MASTER: u64 = 20_260_808;
-
-/// Same whiteboard-rig family as tests/channel_equivalence.rs: γ ∈
-/// [5°, 40°], spacing ∈ [0.3, 0.8] m, standoff ∈ [0.2, 1.0] m, every
-/// third rig with a walking bystander.
-fn sampled_rig(rng: &mut Rng64, with_bystander: bool) -> ChannelModel {
-    let gamma = rng.gen_range(5.0..40.0).to_radians();
-    let spacing = rng.gen_range(0.3..0.8);
-    let standoff = rng.gen_range(0.2..1.0);
-    let mut ch = ChannelModel::two_antenna_whiteboard(gamma, spacing, standoff);
-    if with_bystander {
-        ch.bystander = Some(Bystander {
-            position: Vec3::new(rng.gen_range(-0.5..0.5), 1.0, rng.gen_range(1.0..2.0)),
-            motion: BystanderMotion::Walking { amplitude_m: 0.5, frequency_hz: 0.6 },
-            scattering: 0.2,
-            depolarization: rng.gen_range(0.0..1.0),
-        });
-    }
-    ch
-}
-
-/// Random tag pose in the writing volume (same distribution as
-/// tests/channel_equivalence.rs).
-fn sampled_pose(rng: &mut Rng64) -> (Vec3, Vec3) {
-    let pos = Vec3::new(
-        rng.gen_range(-0.3..0.3),
-        rng.gen_range(0.5..1.0),
-        rng.gen_range(-0.05..0.05),
-    );
-    let dipole = loop {
-        let v = Vec3::new(
-            rng.gen_range(-1.0..1.0),
-            rng.gen_range(-1.0..1.0),
-            rng.gen_range(-1.0..1.0),
-        );
-        if let Some(u) = v.normalized() {
-            break u;
-        }
-    };
-    (pos, dipole)
-}
-
-/// A pose batch plus the matching per-link reference observations.
-fn batch_and_reference(
-    ch: &ChannelModel,
-    rng: &mut Rng64,
-    n: usize,
-    port: usize,
-) -> (PoseBatch, Vec<LinkObservation>) {
-    let mut poses = PoseBatch::with_capacity(n);
-    let mut reference = Vec::with_capacity(n);
-    for _ in 0..n {
-        let (pos, dipole) = sampled_pose(rng);
-        let t = rng.gen_range(0.0..5.0);
-        poses.push(pos, dipole, t);
-        reference.push(ch.evaluate(port, pos, dipole, t));
-    }
-    (poses, reference)
-}
-
-fn assert_obs_bitwise(a: &LinkObservation, b: &LinkObservation, ctx: &str) {
-    assert_eq!(a.forward_power_dbm.to_bits(), b.forward_power_dbm.to_bits(), "{ctx}: forward");
-    assert_eq!(a.rx_power_dbm.to_bits(), b.rx_power_dbm.to_bits(), "{ctx}: rx");
-    assert_eq!(a.phase_rad.to_bits(), b.phase_rad.to_bits(), "{ctx}: phase");
-    assert_eq!(a.mismatch_rad.to_bits(), b.mismatch_rad.to_bits(), "{ctx}: mismatch");
-    assert_eq!(a.tag_powered, b.tag_powered, "{ctx}: power gate");
-}
-
-/// Within TOL, treating a shared −inf (both below the amplitude floor)
-/// as equal.
-fn assert_db_close(a: f64, b: f64, what: &str, ctx: &str) {
-    if a == f64::NEG_INFINITY && b == f64::NEG_INFINITY {
-        return;
-    }
-    assert!((a - b).abs() <= TOL, "{what} diverged: {a:.15} vs {b:.15} ({ctx})");
-}
 
 // ---------------------------------------------------------------------
-// 1. Scalar batch: bitwise vs the per-link channel.
-// ---------------------------------------------------------------------
-
-#[test]
-fn scalar_batch_is_bitwise_vs_per_link_channel() {
-    for rig_idx in 0..12u64 {
-        let seed = derive_seed_indexed(MASTER, "batch-rig", rig_idx);
-        let mut rng = rng_from_seed(seed);
-        let mut ch = sampled_rig(&mut rng, rig_idx % 3 == 2);
-        if rig_idx % 4 == 3 {
-            ch.tag = TagPolarization::Reconfigurable;
-        }
-        let rig = RigFactors::freeze(&ch).expect("whiteboard rigs have a fixed plan");
-        for port in 0..ch.antenna_count() {
-            let (poses, reference) = batch_and_reference(&ch, &mut rng, 40, port);
-            let got = ChannelBatch::new(&rig, BatchOptions::default()).evaluate(port, &poses);
-            assert_eq!(got.len(), reference.len());
-            for (i, (a, b)) in reference.iter().zip(&got).enumerate() {
-                assert_obs_bitwise(a, b, &format!("rig {rig_idx} port {port} pose {i}"));
-            }
-        }
-    }
-}
-
-/// The rig-frozen *single-link* path is bitwise for the Jones
-/// polarimetry too — this is what the simulator's report generation
-/// rides on under `--channel jones`.
-#[test]
-fn frozen_single_link_is_bitwise_for_jones() {
-    for rig_idx in 0..8u64 {
-        let seed = derive_seed_indexed(MASTER, "batch-jones-link", rig_idx);
-        let mut rng = rng_from_seed(seed);
-        let mut ch = sampled_rig(&mut rng, rig_idx % 3 == 2);
-        ch.polarimetry = Polarimetry::Jones;
-        if rig_idx % 2 == 1 {
-            ch.antennas[0].polarization = Polarization::Circular;
-        }
-        let rig = RigFactors::freeze(&ch).expect("fixed plan");
-        for sample in 0..40 {
-            let (pos, dipole) = sampled_pose(&mut rng);
-            let t = rng.gen_range(0.0..5.0);
-            for port in 0..ch.antenna_count() {
-                let a = ch.evaluate(port, pos, dipole, t);
-                let b = rig.evaluate(port, pos, dipole, t);
-                assert_obs_bitwise(&a, &b, &format!("rig {rig_idx} sample {sample} port {port}"));
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// 2. Jones batch: ≤ 1e-12 per link, across every channel feature.
-// ---------------------------------------------------------------------
-
-#[test]
-fn jones_batch_stays_within_1e12_of_per_link() {
-    for rig_idx in 0..12u64 {
-        let seed = derive_seed_indexed(MASTER, "batch-jones", rig_idx);
-        let mut rng = rng_from_seed(seed);
-        let mut ch = sampled_rig(&mut rng, rig_idx % 3 == 2);
-        ch.polarimetry = Polarimetry::Jones;
-        // Exercise every kernel branch across the family: Fresnel
-        // boundaries, non-linear reader states, reconfigurable tags.
-        if rig_idx % 2 == 0 && !ch.reflectors.is_empty() {
-            ch.reflectors[0].surface = Surface::Fresnel { rel_permittivity: 4.0 };
-        }
-        match rig_idx % 4 {
-            1 => ch.antennas[0].polarization = Polarization::Circular,
-            2 => {
-                let axis = Vec3::X;
-                ch.antennas[1].polarization = Polarization::Jones {
-                    axis,
-                    state: PolState::Elliptical { psi_rad: 0.3, chi_rad: 0.2 },
-                };
-            }
-            3 => ch.tag = TagPolarization::Reconfigurable,
-            _ => {}
-        }
-        let rig = RigFactors::freeze(&ch).expect("fixed plan");
-        for port in 0..ch.antenna_count() {
-            let (poses, reference) = batch_and_reference(&ch, &mut rng, 40, port);
-            let got = ChannelBatch::new(&rig, BatchOptions::default()).evaluate(port, &poses);
-            for (i, (a, b)) in reference.iter().zip(&got).enumerate() {
-                let ctx = format!("rig {rig_idx} port {port} pose {i}");
-                assert_db_close(a.forward_power_dbm, b.forward_power_dbm, "forward", &ctx);
-                assert_db_close(a.rx_power_dbm, b.rx_power_dbm, "rx", &ctx);
-                assert_eq!(a.tag_powered, b.tag_powered, "{ctx}: power gate");
-                if a.rx_power_dbm.is_finite() {
-                    assert!(
-                        (a.phase_rad - b.phase_rad).abs() <= TOL,
-                        "{ctx}: phase {} vs {}",
-                        a.phase_rad,
-                        b.phase_rad
-                    );
-                }
-                assert!(
-                    (a.mismatch_rad - b.mismatch_rad).abs() <= TOL,
-                    "{ctx}: mismatch {} vs {}",
-                    a.mismatch_rad,
-                    b.mismatch_rad
-                );
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// 3. Thread counts are bit-identical within each tier.
-// ---------------------------------------------------------------------
-
-#[test]
-fn batch_thread_counts_are_bit_identical_within_each_tier() {
-    for (label, jones) in [("scalar", false), ("jones", true)] {
-        let seed = derive_seed_indexed(MASTER, "batch-threads", jones as u64);
-        let mut rng = rng_from_seed(seed);
-        let mut ch = sampled_rig(&mut rng, true);
-        if jones {
-            ch.polarimetry = Polarimetry::Jones;
-        }
-        let rig = RigFactors::freeze(&ch).expect("fixed plan");
-        let (poses, _) = batch_and_reference(&ch, &mut rng, 67, 0);
-        let one = ChannelBatch::new(&rig, BatchOptions::default()).evaluate(0, &poses);
-        for threads in [2, 8] {
-            let opts = BatchOptions { precision: BatchPrecision::F64Exact, threads };
-            let got = ChannelBatch::new(&rig, opts).evaluate(0, &poses);
-            assert_eq!(one.len(), got.len());
-            for (i, (a, b)) in one.iter().zip(&got).enumerate() {
-                assert_obs_bitwise(a, b, &format!("{label} threads {threads} pose {i}"));
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// 4. Emission builds on the row kernels: bitwise at every worker count.
+// 1. Emission builds on the row kernels: bitwise at every worker count.
 // ---------------------------------------------------------------------
 
 fn paper_rig() -> ([Vec3; 2], Grid) {
@@ -281,7 +59,7 @@ fn emission_build_is_bitwise_vs_per_cell_spec_at_all_worker_counts() {
 }
 
 // ---------------------------------------------------------------------
-// 5. The f32 tier: tolerance oracle (emission deltas + letter parity).
+// 2. The f32 tier: tolerance oracle (emission deltas + letter parity).
 // ---------------------------------------------------------------------
 
 #[test]
@@ -318,7 +96,8 @@ fn track_with_kernel(setup: &TrialSetup, seed: u64, kernel: KernelOptions) -> Ve
     online.finalize().trail.points
 }
 
-/// The PR-6-style end-to-end oracle for the `F32Tolerance` grid tier:
+/// The end-to-end oracle for the f32 grid tier (same shape as the
+/// kernel oracle in tests/kernel_equivalence.rs):
 /// with the fig13 reduced config's shared artifact entry prewarmed by
 /// the *direct* f32 build (so the fast kernel decodes against
 /// direct-built tables, not the cast), letter accuracy must hold parity
